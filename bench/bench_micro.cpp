@@ -287,7 +287,8 @@ void BM_IngestWorkerPool(benchmark::State& state) {
     }
     state.ResumeTiming();
     for (core::UploadBatch& b : batches) sink->submit(std::move(b));
-    benchmark::DoNotOptimize(sink->drain_period());  // barrier + merge
+    benchmark::DoNotOptimize(sink->drain_period());  // barrier + view
+    sink->release_period();
   }
   state.SetItemsProcessed(state.iterations() * n_records);
 }
@@ -445,12 +446,14 @@ int write_ingest_json(const std::string& path) {
     for (int rep = 0; rep < 1; ++rep) {
       for (core::UploadBatch& b : make_batches(seq)) sink->submit(std::move(b));
       (void)sink->drain_period();
+      sink->release_period();
     }
     const auto t0 = std::chrono::steady_clock::now();
     constexpr int kReps = 3;
     for (int rep = 0; rep < kReps; ++rep) {
       for (core::UploadBatch& b : make_batches(seq)) sink->submit(std::move(b));
       (void)sink->drain_period();
+      sink->release_period();
     }
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -441,7 +441,7 @@ std::size_t Agent::approx_memory_bytes() const {
     bytes += (st.tormesh.entries.size() + st.intertor.entries.size() +
               st.service.size()) *
              sizeof(PinglistEntry);
-    bytes += st.paths.size() * (sizeof(PathCacheEntry) + 16 * sizeof(LinkId));
+    bytes += st.paths.size() * sizeof(PathCacheEntry);  // paths are inline
   }
   bytes += pending_.size() * sizeof(Pending);
   bytes += outbox_.capacity() * sizeof(ProbeRecord);

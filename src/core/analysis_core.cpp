@@ -286,8 +286,11 @@ SlaReport AnalysisCore::make_sla_sketch(
 }
 
 const PeriodReport& AnalysisCore::analyze_period(
-    std::vector<ProbeRecord> records, const sketch::HostSummary& summary,
+    const PeriodView& records, const sketch::HostSummary& summary,
     TimeNs now, FederationScratch* fed) {
+  // Opened at period end (below) but declared first, so it also times the
+  // destruction of every pipeline local on return.
+  std::optional<prof::StageScope> diaglog_scope;
   PeriodReport rep;
   rep.period_start = last_period_end_;
   rep.period_end = now;
@@ -398,7 +401,7 @@ const PeriodReport& AnalysisCore::analyze_period(
 
   std::vector<std::optional<AnomalyCause>> cause(records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const ProbeRecord& r = records[i];
+    const ProbeRecord& r = *records[i];
     if (r.status != ProbeStatus::kTimeout) continue;
     const HostId target_host = topo_.rnic(r.target).host;
     if (down_hosts.contains(target_host.value)) {
@@ -435,7 +438,7 @@ const PeriodReport& AnalysisCore::analyze_period(
   for (;;) {
     per_rnic.clear();
     for (std::size_t i = 0; i < records.size(); ++i) {
-      const ProbeRecord& r = records[i];
+      const ProbeRecord& r = *records[i];
       if (r.kind != ProbeKind::kTorMesh || cause[i].has_value()) continue;
       if (anomalous_rnics.contains(r.prober.value) ||
           anomalous_rnics.contains(r.target.value)) {
@@ -496,7 +499,8 @@ const PeriodReport& AnalysisCore::analyze_period(
       hs.sk.merge(sk);
     }
   }
-  for (const ProbeRecord& r : records) {
+  for (const ProbeRecord* rp : records) {
+    const ProbeRecord& r = *rp;
     if (r.status == ProbeStatus::kOk) {
       auto [sit, inserted] = ok_delay_by_rnic.try_emplace(r.target.value);
       if (inserted) sit->second.use_sketch = sk_on;
@@ -627,7 +631,7 @@ const PeriodReport& AnalysisCore::analyze_period(
   enter_stage(2);
 
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const ProbeRecord& r = records[i];
+    const ProbeRecord& r = *records[i];
     if (r.status != ProbeStatus::kTimeout || cause[i].has_value()) continue;
     const HostId target_host = topo_.rnic(r.target).host;
     // A starved Agent corrupts probes in BOTH directions: its responder
@@ -707,7 +711,7 @@ const PeriodReport& AnalysisCore::analyze_period(
   };
   for (std::size_t i = 0; i < records.size(); ++i) {
     if (!cause[i].has_value()) continue;
-    const ProbeRecord& r = records[i];
+    const ProbeRecord& r = *records[i];
     if (flight_on && r.flight_sampled) {
       // Close the loop on the probe's timeline: which cause the Analyzer
       // attributed its timeout to.
@@ -906,7 +910,8 @@ const PeriodReport& AnalysisCore::analyze_period(
       st.sk.merge(sk);
     }
   }
-  for (const ProbeRecord& r : records) {
+  for (const ProbeRecord* rp : records) {
+    const ProbeRecord& r = *rp;
     if (r.status != ProbeStatus::kOk) continue;
     if (r.network_rtt > cfg_.high_rtt_threshold) {
       if (r.kind == ProbeKind::kServiceTracing) {
@@ -1016,7 +1021,8 @@ const PeriodReport& AnalysisCore::analyze_period(
   std::vector<const ProbeRecord*> cluster_records;
   std::unordered_map<std::uint32_t, std::vector<const ProbeRecord*>>
       service_records;
-  for (const ProbeRecord& r : records) {
+  for (const ProbeRecord* rp : records) {
+    const ProbeRecord& r = *rp;
     if (r.kind == ProbeKind::kServiceTracing) {
       service_records[r.service.value].push_back(&r);
     } else {
@@ -1115,7 +1121,8 @@ const PeriodReport& AnalysisCore::analyze_period(
     std::unordered_set<std::uint32_t> hosts;
   };
   std::unordered_map<std::uint32_t, ServiceNet> nets;
-  for (const ProbeRecord& r : records) {
+  for (const ProbeRecord* rp : records) {
+    const ProbeRecord& r = *rp;
     if (r.kind != ProbeKind::kServiceTracing) continue;
     ServiceNet& n = nets[r.service.value];
     n.rnics.insert(r.prober.value);
@@ -1222,9 +1229,10 @@ const PeriodReport& AnalysisCore::analyze_period(
   telemetry::tracer().end_span(period_span);
 
   // Period-end bookkeeping (metric tallies, history/diagnosis retention,
-  // journal spill) is its own profiled stage: it runs outside the
-  // enter_stage window but still inside the period close.
-  prof::StageScope diaglog_scope(prof::Stage::kDrainDiaglog);
+  // journal spill, freeing the pipeline's scratch) is its own profiled
+  // stage: it runs outside the enter_stage window but still inside the
+  // period close.
+  diaglog_scope.emplace(prof::Stage::kDrainDiaglog);
   metrics_.timeouts_by_cause[static_cast<int>(AnomalyCause::kHostDown)].inc(
       rep.timeouts_host_down);
   metrics_.timeouts_by_cause[static_cast<int>(AnomalyCause::kQpnReset)].inc(

@@ -161,11 +161,12 @@ class AnalysisCore {
     return sketch_store_;
   }
 
-  /// Run the seven-stage pipeline over one period's drained records and
-  /// folded summary. `fed == nullptr` reproduces the pre-federation
-  /// pipeline byte for byte; with a scratch, foreign-targeted timeouts are
-  /// deferred and the digest outputs are filled (see FederationScratch).
-  const PeriodReport& analyze_period(std::vector<ProbeRecord> records,
+  /// Run the seven-stage pipeline over one period's drained records (read
+  /// in place; the view must stay valid for the call) and folded summary.
+  /// `fed == nullptr` reproduces the pre-federation pipeline byte for byte;
+  /// with a scratch, foreign-targeted timeouts are deferred and the digest
+  /// outputs are filled (see FederationScratch).
+  const PeriodReport& analyze_period(const PeriodView& records,
                                      const sketch::HostSummary& summary,
                                      TimeNs now, FederationScratch* fed);
 

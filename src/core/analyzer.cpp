@@ -70,12 +70,14 @@ const PeriodReport& Analyzer::analyze_now() {
   // Watchdog over the whole close: drain -> analyze -> hooks -> checkpoint.
   prof::PeriodCloseScope close_scope;
   const TimeNs now = sched_.now();
-  std::vector<ProbeRecord> records = sink_->drain_period();
+  // The records are read in place from the sink's buckets and released as
+  // soon as the pipeline is done with them; a period hook may submit again.
+  const PeriodView& records = sink_->drain_period();
   // The summary is drained unconditionally so a stray test summary can
   // never leak across a sketch-mode flip.
   const sketch::HostSummary summary = sink_->drain_summary();
-  const PeriodReport& rep =
-      core_->analyze_period(std::move(records), summary, now, fed_);
+  const PeriodReport& rep = core_->analyze_period(records, summary, now, fed_);
+  sink_->release_period();
   if (period_hook_) period_hook_(rep, *core_->last_diagnosis());
   if (journal_ != nullptr) save_checkpoint();
   return rep;
@@ -88,6 +90,7 @@ void Analyzer::attach_journal(StateJournal* journal, std::string role) {
 }
 
 void Analyzer::save_checkpoint() {
+  prof::StageScope prof_scope(prof::Stage::kCheckpointSave);
   AnalyzerCheckpoint cp;
   core_->fill_checkpoint(cp);
   cp.ingest = sink_->checkpoint();

@@ -6,6 +6,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -149,9 +150,11 @@ GlobalAnalyzer::GlobalAnalyzer(const topo::Topology& topo,
   if (cfg_.analyzer.period <= 0) {
     throw std::invalid_argument("GlobalAnalyzer: period must be positive");
   }
-  if (cfg_.digest_dedup_window == 0) {
+  if (cfg_.digest_dedup_window == 0 ||
+      cfg_.digest_dedup_window > kMaxSeqWindow) {
     throw std::invalid_argument(
-        "GlobalAnalyzer: digest_dedup_window must be positive");
+        "GlobalAnalyzer: digest_dedup_window must be in [1, " +
+        std::to_string(kMaxSeqWindow) + "]");
   }
   // Federated deployments only — never present in a flat scrape.
   auto& reg = telemetry::registry();
@@ -164,8 +167,9 @@ GlobalAnalyzer::GlobalAnalyzer(const topo::Topology& topo,
 
 void GlobalAnalyzer::ingest_digest(PodDigest&& d) {
   if (outage_) return;  // a blacked-out merge tier hears nothing
-  DedupState& st = digest_dedup_[d.pod];
-  if (!dedup_accept(st, d.seq, cfg_.digest_dedup_window)) {
+  SeqWindow& win =
+      digest_dedup_.try_emplace(d.pod, cfg_.digest_dedup_window).first->second;
+  if (!win.accept(d.seq)) {
     ++duplicate_digests_;
     return;
   }
@@ -228,10 +232,9 @@ bool GlobalAnalyzer::restart_from_journal() {
     next_evidence_id_ = cp->next_evidence_id;
     digest_dedup_.clear();
     for (const IngestCheckpoint::HostWindow& hw : cp->digest_dedup.hosts) {
-      DedupState st;
-      st.max_seq = hw.max_seq;
-      st.seen.insert(hw.seen.begin(), hw.seen.end());
-      digest_dedup_.emplace(hw.host, std::move(st));
+      SeqWindow win(cfg_.digest_dedup_window);
+      win.restore(hw.max_seq, hw.seen);
+      digest_dedup_.emplace(hw.host, std::move(win));
     }
   }
   outage_ = false;
@@ -243,6 +246,7 @@ bool GlobalAnalyzer::restart_from_journal() {
 
 void GlobalAnalyzer::save_checkpoint() {
   if (journal_ == nullptr) return;
+  prof::StageScope prof_scope(prof::Stage::kCheckpointSave);
   AnalyzerCheckpoint cp;
   cp.last_period_end = last_period_end_;
   cp.next_problem_id = next_problem_id_;
@@ -252,13 +256,9 @@ void GlobalAnalyzer::save_checkpoint() {
   for (const auto& [pod, st] : digest_dedup_) pods.push_back(pod);
   std::sort(pods.begin(), pods.end());
   for (std::uint32_t pod : pods) {
-    const DedupState& st = digest_dedup_.at(pod);
-    IngestCheckpoint::HostWindow hw;
-    hw.host = pod;  // "host" slot carries the pod id for digest windows
-    hw.max_seq = st.max_seq;
-    hw.seen.assign(st.seen.begin(), st.seen.end());
-    std::sort(hw.seen.begin(), hw.seen.end());
-    cp.digest_dedup.hosts.push_back(std::move(hw));
+    const SeqWindow& win = digest_dedup_.at(pod);
+    // The "host" slot carries the pod id for digest windows.
+    cp.digest_dedup.hosts.push_back({pod, win.max_seq(), win.seen()});
   }
   journal_->save_checkpoint("global", cp);
 }

@@ -40,6 +40,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/seq_window.h"
 #include "core/analyzer.h"
 #include "core/digest.h"
 #include "core/ingest.h"
@@ -112,7 +113,8 @@ class GlobalAnalyzer {
     /// Merge ticks fire this far after the pods' period boundary, giving
     /// digests a control-plane flight's head start.
     TimeNs merge_offset = msec(500);
-    /// Per-pod digest seq dedup window (retries/duplicates).
+    /// Per-pod digest seq dedup window (retries/duplicates); at most
+    /// kMaxSeqWindow.
     std::uint64_t digest_dedup_window = 64;
   };
 
@@ -162,7 +164,7 @@ class GlobalAnalyzer {
   /// journal restore never fabricates or reuses a sequence number.
   [[nodiscard]] std::uint64_t max_digest_seq(std::uint32_t pod) const {
     auto it = digest_dedup_.find(pod);
-    return it == digest_dedup_.end() ? 0 : it->second.max_seq;
+    return it == digest_dedup_.end() ? 0 : it->second.max_seq();
   }
 
   /// Journal under role "global": checkpoints hold the per-pod digest dedup
@@ -184,7 +186,7 @@ class GlobalAnalyzer {
   Config cfg_;
 
   std::vector<PodDigest> pending_;
-  std::unordered_map<std::uint32_t, DedupState> digest_dedup_;  // by pod
+  std::unordered_map<std::uint32_t, SeqWindow> digest_dedup_;  // by pod
   std::vector<ServiceBinding> services_;
   std::deque<PeriodReport> history_;
   std::deque<obs::DiagnosisLog> diagnosis_;

@@ -10,9 +10,9 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
+#include "common/seq_window.h"
 #include "obs/flight_recorder.h"
 #include "prof/prof.h"
 #include "telemetry/metrics.h"
@@ -34,47 +34,31 @@ void IngestConfig::validate() const {
     throw std::invalid_argument(
         "IngestConfig: queue_capacity must be > 0 when threads > 0");
   }
-  if (dedup_window == 0) {
-    throw std::invalid_argument("IngestConfig: dedup_window must be > 0");
+  if (dedup_window == 0 || dedup_window > kMaxSeqWindow) {
+    throw std::invalid_argument(
+        "IngestConfig: dedup_window must be in [1, " +
+        std::to_string(kMaxSeqWindow) +
+        "] (got " + std::to_string(dedup_window) + ")");
   }
-}
-
-/// True when (host, seq) is a first delivery inside the window; records the
-/// seq and slides the window forward.
-bool dedup_accept(DedupState& st, std::uint64_t seq, std::uint64_t window) {
-  if (st.seen.contains(seq) ||
-      (st.max_seq > window && seq < st.max_seq - window)) {
-    // Repeat delivery of a retried batch (or one so old it fell out of the
-    // window — count it as a duplicate rather than risk double-counting).
-    return false;
-  }
-  st.seen.insert(seq);
-  if (seq > st.max_seq) {
-    st.max_seq = seq;
-    // Slide the window: forget seqs that can no longer arrive as fresh.
-    if (st.max_seq > window) {
-      const std::uint64_t floor = st.max_seq - window;
-      std::erase_if(st.seen, [floor](std::uint64_t s) { return s < floor; });
-    }
-  }
-  return true;
 }
 
 namespace {
 
-/// Fold one host->DedupState map into a checkpoint under construction.
-/// Callers sort cp.hosts afterwards (hosts are disjoint across shards, so
-/// a single final sort canonicalizes the multi-shard case too).
-void append_dedup_windows(
-    IngestCheckpoint& cp,
-    const std::unordered_map<std::uint32_t, DedupState>& dedup) {
-  for (const auto& [host, st] : dedup) {
-    IngestCheckpoint::HostWindow w;
-    w.host = host;
-    w.max_seq = st.max_seq;
-    w.seen.assign(st.seen.begin(), st.seen.end());
-    std::sort(w.seen.begin(), w.seen.end());
-    cp.hosts.push_back(std::move(w));
+/// Per-host (host, seq) dedup windows, by host id. With the pool a host's
+/// windows live in its shard, touched only by the shard's single consumer.
+using DedupMap = std::unordered_map<std::uint32_t, SeqWindow>;
+
+bool dedup_accept(DedupMap& dedup, HostId host, std::uint64_t seq,
+                  std::uint64_t window) {
+  return dedup.try_emplace(host.value, window).first->second.accept(seq);
+}
+
+/// Fold one dedup map into a checkpoint under construction. Callers sort
+/// cp.hosts afterwards (hosts are disjoint across shards, so a single final
+/// sort canonicalizes the multi-shard case too).
+void append_dedup_windows(IngestCheckpoint& cp, const DedupMap& dedup) {
+  for (const auto& [host, win] : dedup) {
+    cp.hosts.push_back({host, win.max_seq(), win.seen()});
   }
 }
 
@@ -86,12 +70,56 @@ void finish_checkpoint(IngestCheckpoint& cp) {
             });
 }
 
-DedupState window_to_state(const IngestCheckpoint::HostWindow& w) {
-  DedupState st;
-  st.max_seq = w.max_seq;
-  st.seen.insert(w.seen.begin(), w.seen.end());
-  return st;
+void restore_window(DedupMap& dedup, const IngestCheckpoint::HostWindow& w,
+                    std::uint64_t window) {
+  SeqWindow win(window);
+  win.restore(w.max_seq, w.seen);
+  dedup.insert_or_assign(w.host, std::move(win));
 }
+
+/// Drain/release bookkeeping shared by both backends: the view handed out
+/// by drain_period() and, per shard, how many bucket records it covers.
+class PeriodDrain {
+ public:
+  explicit PeriodDrain(std::size_t shards) : covered_(shards, 0) {}
+
+  /// Start a drain; the previous one must have been released.
+  PeriodView& begin() {
+    if (outstanding_) {
+      throw std::logic_error(
+          "IngestSink::drain_period: previous period not released");
+    }
+    outstanding_ = true;
+    return view_;
+  }
+
+  /// List shard `s`'s bucket into the view in place.
+  void add(std::size_t s, const std::vector<ProbeRecord>& bucket) {
+    covered_[s] = bucket.size();
+    for (const ProbeRecord& r : bucket) view_.push_back(&r);
+  }
+
+  [[nodiscard]] bool outstanding() const { return outstanding_; }
+
+  /// Drop the records the view covered from every bucket; records appended
+  /// since (submitted after the drain) move to the front. `bucket(s)` names
+  /// shard s's bucket.
+  template <typename BucketOf>
+  void release(BucketOf&& bucket) {
+    for (std::size_t s = 0; s < covered_.size(); ++s) {
+      std::vector<ProbeRecord>& b = bucket(s);
+      b.erase(b.begin(), b.begin() + static_cast<std::ptrdiff_t>(covered_[s]));
+      covered_[s] = 0;
+    }
+    view_.clear();  // keeps capacity for the next period
+    outstanding_ = false;
+  }
+
+ private:
+  PeriodView view_;
+  std::vector<std::size_t> covered_;  // per shard
+  bool outstanding_ = false;
+};
 
 void append_records(std::vector<ProbeRecord>& bucket,
                     std::vector<ProbeRecord>&& records) {
@@ -168,6 +196,7 @@ class InlineSink final : public IngestSink {
         hooks_(std::move(hooks)),
         buckets_(cfg.shards),
         summaries_(cfg.shards),
+        drain_(cfg.shards),
         metrics_(make_sink_metrics(cfg.shards, /*pool=*/false)) {}
 
   void submit(UploadBatch&& batch) override {
@@ -177,8 +206,7 @@ class InlineSink final : public IngestSink {
     if (paused_) return;
     prof::StageScope prof_scope(prof::Stage::kIngestSubmit);
     if (hooks_.host_alive) hooks_.host_alive(batch.host);
-    if (!dedup_accept(dedup_[batch.host.value], batch.seq,
-                      cfg_.dedup_window)) {
+    if (!dedup_accept(dedup_, batch.host, batch.seq, cfg_.dedup_window)) {
       metrics_.batches_duplicate.inc();
       return;
     }
@@ -203,22 +231,25 @@ class InlineSink final : public IngestSink {
     ingest(host, std::move(records));
   }
 
-  std::vector<ProbeRecord> drain_period() override {
-    std::size_t total = 0;
-    for (const auto& b : buckets_) total += b.size();
-    std::vector<ProbeRecord> merged;
-    merged.reserve(total);
+  const PeriodView& drain_period() override {
+    prof::StageScope prof_scope(prof::Stage::kIngestPeriodView);
+    PeriodView& view = drain_.begin();
     for (std::size_t b = 0; b < buckets_.size(); ++b) {
-      std::vector<ProbeRecord>& bucket = buckets_[b];
-      metrics_.bucket_records[b].observe(static_cast<double>(bucket.size()));
-      merged.insert(merged.end(), std::make_move_iterator(bucket.begin()),
-                    std::make_move_iterator(bucket.end()));
-      bucket.clear();  // keeps capacity for the next period
+      metrics_.bucket_records[b].observe(
+          static_cast<double>(buckets_[b].size()));
+      drain_.add(b, buckets_[b]);
     }
-    return merged;
+    return view;
+  }
+
+  void release_period() override {
+    if (!drain_.outstanding()) return;
+    prof::StageScope prof_scope(prof::Stage::kIngestPeriodView);
+    drain_.release([this](std::size_t b) -> auto& { return buckets_[b]; });
   }
 
   sketch::HostSummary drain_summary() override {
+    prof::StageScope prof_scope(prof::Stage::kIngestPeriodView);
     sketch::HostSummary merged;
     for (sketch::HostSummary& s : summaries_) {
       merged.merge(s);
@@ -242,7 +273,9 @@ class InlineSink final : public IngestSink {
 
   void restore(const IngestCheckpoint& cp) override {
     dedup_.clear();
-    for (const auto& w : cp.hosts) dedup_[w.host] = window_to_state(w);
+    for (const auto& w : cp.hosts) {
+      restore_window(dedup_, w, cfg_.dedup_window);
+    }
   }
 
  private:
@@ -266,7 +299,8 @@ class InlineSink final : public IngestSink {
   const IngestHooks hooks_;
   std::vector<std::vector<ProbeRecord>> buckets_;  // by prober host % N
   std::vector<sketch::HostSummary> summaries_;     // parallel to buckets_
-  std::unordered_map<std::uint32_t, DedupState> dedup_;  // by host id
+  DedupMap dedup_;
+  PeriodDrain drain_;
   bool paused_ = false;
   SinkMetrics metrics_;
 };
@@ -280,7 +314,8 @@ class WorkerPoolSink final : public IngestSink {
   WorkerPoolSink(const IngestConfig& cfg, IngestHooks hooks)
       : cfg_(cfg),
         hooks_(std::move(hooks)),
-        metrics_(make_sink_metrics(cfg.shards, /*pool=*/true)) {
+        metrics_(make_sink_metrics(cfg.shards, /*pool=*/true)),
+        drain_(cfg.shards) {
     shards_.resize(cfg_.shards);
     workers_.reserve(cfg_.threads);
     for (std::size_t w = 0; w < cfg_.threads; ++w) {
@@ -329,7 +364,8 @@ class WorkerPoolSink final : public IngestSink {
             Item{std::move(batch), /*trusted=*/true});
   }
 
-  std::vector<ProbeRecord> drain_period() override {
+  const PeriodView& drain_period() override {
+    PeriodView& view = drain_.begin();
     if (stalled_.load(std::memory_order_relaxed)) {
       // Test hook active: workers are parked, so the calling (sim) thread
       // works the queues itself — shard order, per-shard FIFO, exactly what
@@ -347,17 +383,14 @@ class WorkerPoolSink final : public IngestSink {
       prof::StageScope prof_scope(prof::Stage::kIngestDrainBarrier);
       barrier_wait();
     }
-    // All shard buckets are quiescent now; merge in shard index order so the
-    // result is byte-identical to the inline backend. The tap and flight
+    prof::StageScope prof_scope(prof::Stage::kIngestPeriodView);
+    // All shard buckets are quiescent now; list them in shard index order so
+    // the view is identical to the inline backend's. The tap and flight
     // recorder fire here (period close) rather than at submit — workers
     // never touch them (not thread-safe); see ingest.h.
-    std::size_t total = 0;
-    for (const Shard& sh : shards_) total += sh.bucket.size();
-    std::vector<ProbeRecord> merged;
-    merged.reserve(total);
     const bool flight_on = obs::recorder().enabled();
     for (std::size_t s = 0; s < shards_.size(); ++s) {
-      std::vector<ProbeRecord>& bucket = shards_[s].bucket;
+      const std::vector<ProbeRecord>& bucket = shards_[s].bucket;
       metrics_.bucket_records[s].observe(static_cast<double>(bucket.size()));
       if (hooks_.tap != nullptr && *hooks_.tap) {
         for (const ProbeRecord& r : bucket) (*hooks_.tap)(r);
@@ -370,12 +403,19 @@ class WorkerPoolSink final : public IngestSink {
           }
         }
       }
-      merged.insert(merged.end(), std::make_move_iterator(bucket.begin()),
-                    std::make_move_iterator(bucket.end()));
-      bucket.clear();  // keeps capacity for the next period
+      drain_.add(s, bucket);
       metrics_.queue_depth[s].set(0.0);
     }
-    return merged;
+    return view;
+  }
+
+  void release_period() override {
+    if (!drain_.outstanding()) return;
+    prof::StageScope prof_scope(prof::Stage::kIngestPeriodView);
+    // Batches submitted since the drain may still be in flight.
+    if (!stalled_.load(std::memory_order_relaxed)) barrier_wait();
+    drain_.release(
+        [this](std::size_t s) -> auto& { return shards_[s].bucket; });
   }
 
   sketch::HostSummary drain_summary() override {
@@ -384,6 +424,7 @@ class WorkerPoolSink final : public IngestSink {
     // FIFO queue) and this merge runs in shard index order, so the merged
     // summary — including its floating-point sums — is byte-identical to
     // the inline backend's for any thread count.
+    prof::StageScope prof_scope(prof::Stage::kIngestPeriodView);
     sketch::HostSummary merged;
     for (Shard& sh : shards_) {
       merged.merge(sh.summary);
@@ -421,7 +462,8 @@ class WorkerPoolSink final : public IngestSink {
     if (!stalled_.load(std::memory_order_relaxed)) barrier_wait();
     for (Shard& sh : shards_) sh.dedup.clear();
     for (const auto& w : cp.hosts) {
-      shards_[w.host % shards_.size()].dedup[w.host] = window_to_state(w);
+      restore_window(shards_[w.host % shards_.size()].dedup, w,
+                     cfg_.dedup_window);
     }
   }
 
@@ -437,7 +479,7 @@ class WorkerPoolSink final : public IngestSink {
     // sim thread inside drain_period after the barrier / under stall):
     std::vector<ProbeRecord> bucket;
     sketch::HostSummary summary;
-    std::unordered_map<std::uint32_t, DedupState> dedup;  // by host id
+    DedupMap dedup;
     std::size_t worker = 0;
   };
 
@@ -524,7 +566,7 @@ class WorkerPoolSink final : public IngestSink {
     prof::StageScope prof_scope(prof::Stage::kIngestSubmit);
     Shard& sh = shards_[s];
     if (!item.trusted) {
-      if (!dedup_accept(sh.dedup[item.batch.host.value], item.batch.seq,
+      if (!dedup_accept(sh.dedup, item.batch.host, item.batch.seq,
                         cfg_.dedup_window)) {
         metrics_.batches_duplicate.inc();
         return;
@@ -544,6 +586,7 @@ class WorkerPoolSink final : public IngestSink {
   SinkMetrics metrics_;
   std::vector<Shard> shards_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  PeriodDrain drain_;                  // sim thread only
   bool paused_ = false;                // sim thread only
   std::atomic<bool> stalled_{false};   // test hook
 };

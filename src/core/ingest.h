@@ -3,15 +3,27 @@
 // Every record an Agent uploads passes through exactly one IngestSink. The
 // sink owns the §4.3 pre-analysis mechanics — sharding by prober host,
 // (host, seq) duplicate suppression for the at-least-once transport, and
-// the per-period bucket merge — behind a narrow interface so the Analyzer's
+// the per-period shard buckets — behind a narrow interface so the Analyzer's
 // pipeline never cares whether ingestion ran inline on the simulator thread
 // or on a worker pool:
 //
 //   submit(batch)         transport deliveries (deduplicated by (host, seq));
 //   submit_trusted(...)   local producers — tests, benches, co-located
 //                         collectors — no seq, no duplicate suppression;
-//   drain_period()        merge every shard bucket into one period-ordered
-//                         vector (called at period close, sim thread only).
+//   drain_period()        hand out the period's records in place: a
+//                         read-only view (record pointers) over every shard
+//                         bucket in shard index order — nothing is copied or
+//                         moved (called at period close, sim thread only);
+//   release_period()      drop exactly the records the view covered; the
+//                         buckets keep their capacity.
+//
+// View lifetime. The view returned by drain_period() stays valid until
+// release_period() or the next submit()/submit_trusted(), whichever comes
+// first (a submit may grow a bucket and move its records). Records
+// submitted after the drain are not in the view and survive the release:
+// they open the next period. Every drain_period() must be followed by a
+// release_period() before the next drain. The Analyzer releases right after
+// analyze_period() returns, before its period hook runs.
 //
 // Two backends, selected by IngestConfig::threads:
 //
@@ -24,17 +36,21 @@
 //                 is owned by exactly one std::thread worker that performs
 //                 dedup and bucket append off the sim thread. drain_period()
 //                 is a barrier: it waits until every queue is empty and every
-//                 worker idle, then merges buckets in shard index order.
+//                 worker idle, then lists the buckets in shard index order.
+//                 release_period() runs the barrier again before trimming.
 //
 // Determinism. A host's batches always map to one shard, each shard queue is
 // FIFO, and each shard has a single consumer — so per-host dedup decisions
 // and per-shard bucket order equal the submission order regardless of thread
-// count or interleaving. Merging in shard index order then yields a record
-// vector byte-identical to the inline backend's, which is why verdicts, SLA
-// tables, and ChaosReports are identical for any `threads` value (the
+// count or interleaving. Listing buckets in shard index order then yields a
+// record sequence identical to the inline backend's, which is why verdicts,
+// SLA tables, and ChaosReports are identical for any `threads` value (the
 // repo-wide same-seed guarantee). The only timing-dependent behavior is
 // drop-oldest overflow under live workers; the default queue_capacity is
 // sized so simulation workloads never hit it.
+//
+// Dedup windows are SeqWindow bitmaps (common/seq_window.h): window + 1 bits
+// per host, so IngestConfig bounds the window at kMaxSeqWindow.
 //
 // Observable differences between backends (documented, not load-bearing):
 // the record tap and flight-recorder kAnalyzerIngest events fire at submit()
@@ -47,25 +63,15 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "core/types.h"
 
 namespace rpm::core {
 
-/// Per-host sliding-window batch-seq memory. Shared by both sink backends
-/// (with the pool a host's state lives in its shard, touched only by the
-/// shard's single consumer); also reused by the GlobalAnalyzer for per-pod
-/// digest dedup.
-struct DedupState {
-  std::uint64_t max_seq = 0;
-  std::unordered_set<std::uint64_t> seen;
-};
-
-/// True when `seq` is a first delivery inside the window; records the seq
-/// and slides the window forward.
-bool dedup_accept(DedupState& st, std::uint64_t seq, std::uint64_t window);
+/// One period's drained records, read in place: pointers into the sink's
+/// shard buckets, shard index order, submission order within a shard.
+using PeriodView = std::vector<const ProbeRecord*>;
 
 /// Canonical snapshot of per-host (host, seq) dedup windows — what the
 /// StateJournal persists so a restarted sink keeps rejecting re-delivered
@@ -95,11 +101,12 @@ struct IngestConfig {
   std::size_t queue_capacity = 1024;
   /// At-least-once delivery means retried batches arrive twice; per host the
   /// sink remembers batch seqs inside a sliding window of this many seqs
-  /// below the highest seen and drops repeats.
+  /// below the highest seen and drops repeats. At most kMaxSeqWindow.
   std::uint64_t dedup_window = 1024;
 
   /// Throws std::invalid_argument on nonsense: 0 shards, threads > shards,
-  /// a 0-capacity queue with workers, or a 0 dedup window.
+  /// a 0-capacity queue with workers, or a dedup window of 0 or above
+  /// kMaxSeqWindow.
   void validate() const;
 };
 
@@ -129,15 +136,21 @@ class IngestSink {
   virtual void submit_trusted(HostId host,
                               std::vector<ProbeRecord>&& records) = 0;
 
-  /// Merge every shard bucket into one period-ordered vector and reset the
-  /// buckets (capacity kept). Worker-pool backend: barrier first.
-  [[nodiscard]] virtual std::vector<ProbeRecord> drain_period() = 0;
+  /// This period's records in place, shard index order (see the view
+  /// lifetime notes above). Worker-pool backend: barrier first. Throws
+  /// std::logic_error when the previous drain was never released.
+  [[nodiscard]] virtual const PeriodView& drain_period() = 0;
+
+  /// Drop exactly the records the last drain_period() covered; records
+  /// submitted since survive. Buckets keep their capacity. No-op without
+  /// an outstanding drain. Worker-pool backend: barrier first.
+  virtual void release_period() = 0;
 
   /// Merge and reset the per-shard HostSummary accumulation (sketch-mode
   /// upload thinning). Call after drain_period() on the sim thread — the
   /// pool backend relies on drain_period()'s barrier having run. Summaries
   /// are merged per shard in submission order and across shards in shard
-  /// index order, so — like the record vector — the result is byte-identical
+  /// index order, so — like the record view — the result is byte-identical
   /// for any thread count. Empty whenever Agents ship no summaries
   /// (sketch_mode == kOff).
   [[nodiscard]] virtual sketch::HostSummary drain_summary() = 0;
@@ -153,7 +166,9 @@ class IngestSink {
   /// Restart path: replace the dedup windows from a journaled snapshot so
   /// re-delivered batches (spill-ring drains, transport retries from before
   /// the crash) are suppressed instead of re-counted. Call on a fresh or
-  /// drained sink — buckets are untouched.
+  /// drained sink — buckets are untouched. Seqs below a window are skipped;
+  /// a seq above its window's max_seq throws std::invalid_argument
+  /// (decode_checkpoint rejects such checkpoints first).
   virtual void restore(const IngestCheckpoint& cp) = 0;
 
   [[nodiscard]] virtual std::size_t num_shards() const = 0;

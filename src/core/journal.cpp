@@ -96,7 +96,18 @@ IngestCheckpoint get_ingest(const std::vector<std::uint8_t>& in,
     w.max_seq = get_u64(in, off);
     const std::uint64_t ns = get_u64(in, off);
     w.seen.reserve(ns);
-    for (std::uint64_t j = 0; j < ns; ++j) w.seen.push_back(get_u64(in, off));
+    for (std::uint64_t j = 0; j < ns; ++j) {
+      const std::uint64_t seq = get_u64(in, off);
+      // A restored window is a ring over [max_seq - window, max_seq]: a seq
+      // out of order or above max_seq would alias onto a live slot and
+      // reject a fresh batch as a duplicate.
+      if ((!w.seen.empty() && seq <= w.seen.back()) || seq > w.max_seq) {
+        throw std::runtime_error(
+            "AnalyzerCheckpoint: dedup window seqs not ascending or above "
+            "max_seq");
+      }
+      w.seen.push_back(seq);
+    }
     cp.hosts.push_back(std::move(w));
   }
   return cp;

@@ -58,7 +58,9 @@ struct AnalyzerCheckpoint {
 
 /// Canonical byte codec (little-endian, length-prefixed vectors, CRC32
 /// trailer). Same state => same bytes; decode throws std::runtime_error on
-/// truncation or checksum mismatch (bit flips, not just short reads).
+/// truncation or checksum mismatch (bit flips, not just short reads), and on
+/// a dedup window whose seen seqs are not strictly ascending or exceed its
+/// max_seq (they would alias onto live slots of the restored bitmap).
 void encode_checkpoint(const AnalyzerCheckpoint& cp,
                        std::vector<std::uint8_t>& out);
 AnalyzerCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& in);

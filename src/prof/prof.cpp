@@ -19,6 +19,7 @@ constexpr const char* kStageNames[kNumStages] = {
     "drain.sla",      "drain.impact",  "drain.diaglog",
     "digest.flush",   "global.merge",  "transport.deliver",
     "sketch.flush",   "period.close",  "sim.sync_barrier",
+    "ingest.period_view", "checkpoint.save",
 };
 
 /// Thread-local cache of the calling thread's buffer. Keyed by (owner,

@@ -66,15 +66,17 @@ enum class Stage : std::uint8_t {
   kDrainBottleneck,     // analyze_period: bottleneck scan
   kDrainSla,            // analyze_period: SLA percentile tables
   kDrainImpact,         // analyze_period: P0/P1/P2 impact assessment
-  kDrainDiaglog,        // period-end history/diagnosis/journal bookkeeping
+  kDrainDiaglog,        // period-end bookkeeping + freeing pipeline scratch
   kDigestFlush,         // PodAnalyzer built + sent one PodDigest
   kGlobalMerge,         // GlobalAnalyzer merged the pending digests
   kTransportDeliver,    // one Channel handler invocation
   kSketchFlush,         // SketchExporter flushed a period's link sketches
   kPeriodClose,         // whole Analyzer close: drain -> verdict -> checkpoint
   kSimSyncBarrier,      // ParallelScheduler cross-partition merge per window
+  kIngestPeriodView,    // IngestSink: list, summarize and release a period
+  kCheckpointSave,      // Analyzer/GlobalAnalyzer checkpoint fill + encode
 };
-inline constexpr std::size_t kNumStages = 15;
+inline constexpr std::size_t kNumStages = 17;
 
 /// Dotted display name, e.g. "sim.dispatch", "drain.vote".
 const char* stage_name(Stage s);

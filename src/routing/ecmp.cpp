@@ -113,8 +113,9 @@ Path EcmpRouter::resolve(RnicId src, RnicId dst, const FiveTuple& tuple,
     throw std::invalid_argument("resolve: destination not under a ToR");
   }
 
-  constexpr int kMaxHops = 16;
-  for (int hop = 0; hop < kMaxHops; ++hop) {
+  // Each hop adds one switch and one link, so the switch capacity bounds
+  // the loop and the links (one more than the switches) never overflow.
+  for (std::size_t hop = 0; hop < kMaxPathSwitches; ++hop) {
     path.switches.push_back(cur);
     if (cur == d.tor) {
       if (!up(d.downlink)) return path;  // ToR -> RNIC link down
@@ -123,18 +124,26 @@ Path EcmpRouter::resolve(RnicId src, RnicId dst, const FiveTuple& tuple,
       return path;
     }
     const auto& cand = candidates_[ord][cur.value];
-    // Filter to live links; a failure re-hashes among survivors.
-    std::vector<LinkId> live;
-    live.reserve(cand.size());
+    // Hash among the live candidates; a failure re-hashes among survivors.
+    std::size_t live = 0;
     for (LinkId l : cand) {
-      if (up(l)) live.push_back(l);
+      if (up(l)) ++live;
     }
-    if (live.empty()) return path;  // blackhole
-    const LinkId next = live[pick(cur, tuple, live.size())];
+    if (live == 0) return path;  // blackhole
+    std::size_t k = pick(cur, tuple, live);
+    LinkId next = cand[k];
+    if (live != cand.size()) {
+      for (LinkId l : cand) {
+        if (up(l) && k-- == 0) {
+          next = l;
+          break;
+        }
+      }
+    }
     path.links.push_back(next);
     cur = topo_.link(next).to.as_switch();
   }
-  return path;  // loop guard tripped; report incomplete
+  return path;  // longer than kMaxPathSwitches; report incomplete
 }
 
 TracerouteService::TracerouteService(const EcmpRouter& router,

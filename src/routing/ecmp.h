@@ -14,6 +14,11 @@
 // tracing.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cassert>
+#include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -28,12 +33,52 @@ namespace rpm::routing {
 /// Predicate deciding whether a directed link is currently usable.
 using LinkUpFn = std::function<bool(LinkId)>;
 
+/// Most switches a resolved path may cross. Candidate sets hold shortest
+/// paths only, so no Clos or rail-optimized path exceeds 5 switches (and 6
+/// links); resolve() reports anything longer as incomplete.
+inline constexpr std::size_t kMaxPathSwitches = 7;
+/// A path alternates links and switches, starting and ending on a link.
+inline constexpr std::size_t kMaxPathLinks = kMaxPathSwitches + 1;
+
+/// Fixed-capacity, inline list of a path's hops. A Path — and every
+/// ProbeRecord carrying two — then owns no heap memory: copying one is a
+/// memcpy and releasing one is free.
+template <typename T, std::size_t N>
+class HopList {
+ public:
+  void push_back(T v) {
+    assert(n_ < N && "HopList capacity exceeded");
+    hops_[n_++] = v;
+  }
+
+  [[nodiscard]] const T* begin() const { return hops_.data(); }
+  [[nodiscard]] const T* end() const { return hops_.data() + n_; }
+  [[nodiscard]] std::size_t size() const { return n_; }
+  [[nodiscard]] bool empty() const { return n_ == 0; }
+  [[nodiscard]] const T& front() const { return hops_[0]; }
+  [[nodiscard]] const T& back() const { return hops_[n_ - 1]; }
+  [[nodiscard]] const T& operator[](std::size_t i) const { return hops_[i]; }
+
+  friend bool operator==(const HopList& a, const HopList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  friend auto operator<=>(const HopList& a, const HopList& b) {
+    return std::lexicographical_compare_three_way(a.begin(), a.end(),
+                                                  b.begin(), b.end());
+  }
+
+ private:
+  std::array<T, N> hops_{};
+  std::uint8_t n_ = 0;
+};
+
 /// A resolved forwarding path. `links` and `switches` are in traversal
 /// order; `complete` is false when the packet was blackholed (all candidate
-/// next-hops down), in which case the vectors hold the prefix traversed.
+/// next-hops down) or the path outgrew kMaxPathSwitches, in which case the
+/// lists hold the prefix traversed.
 struct Path {
-  std::vector<LinkId> links;
-  std::vector<SwitchId> switches;
+  HopList<LinkId, kMaxPathLinks> links;
+  HopList<SwitchId, kMaxPathSwitches> switches;
   bool complete = false;
 
   [[nodiscard]] TimeNs propagation_total(const topo::Topology& topo) const;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "obs/flight_recorder.h"
 
@@ -226,21 +227,20 @@ std::vector<std::pair<std::uint32_t, LinkSketch>> LinkSketchBank::flush() {
 
 // ---- SketchStore ----
 
+SketchStore::SketchStore(std::uint64_t dedup_window)
+    : dedup_window_(dedup_window) {
+  if (dedup_window > kMaxSeqWindow) {
+    throw std::invalid_argument("SketchStore: dedup_window must be <= " +
+                                std::to_string(kMaxSeqWindow));
+  }
+}
+
 bool SketchStore::ingest(SketchReport&& rep) {
-  Dedup& d = dedup_[rep.exporter];
-  if (d.seen.contains(rep.seq) ||
-      (d.max_seq > dedup_window_ && rep.seq < d.max_seq - dedup_window_)) {
+  if (!dedup_.try_emplace(rep.exporter, dedup_window_)
+           .first->second.accept(rep.seq)) {
     ++duplicates_;
     m_duplicate_.inc();
     return false;
-  }
-  d.seen.insert(rep.seq);
-  if (rep.seq > d.max_seq) {
-    d.max_seq = rep.seq;
-    if (d.max_seq > dedup_window_) {
-      const std::uint64_t floor = d.max_seq - dedup_window_;
-      std::erase_if(d.seen, [floor](std::uint64_t s) { return s < floor; });
-    }
   }
   for (auto& [link, sk] : rep.links) links_[link].merge(sk);
   ++merged_;

@@ -30,11 +30,11 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/seq_window.h"
 #include "common/types.h"
 #include "telemetry/metrics.h"
 
@@ -177,8 +177,8 @@ class LinkSketchBank {
 /// merges them per link until the Analyzer drains a period.
 class SketchStore {
  public:
-  explicit SketchStore(std::uint64_t dedup_window = 1024)
-      : dedup_window_(dedup_window) {}
+  /// Throws std::invalid_argument when dedup_window > kMaxSeqWindow.
+  explicit SketchStore(std::uint64_t dedup_window = 1024);
 
   /// Merge a report; false (and counted duplicate) on a repeat delivery of
   /// a retried report. Records kSketchMerge on sampled reports' timelines.
@@ -192,13 +192,8 @@ class SketchStore {
   [[nodiscard]] std::uint64_t duplicates() const { return duplicates_; }
 
  private:
-  struct Dedup {
-    std::uint64_t max_seq = 0;
-    std::set<std::uint64_t> seen;
-  };
-
   std::uint64_t dedup_window_;
-  std::unordered_map<std::uint64_t, Dedup> dedup_;  // by exporter tag
+  std::unordered_map<std::uint64_t, SeqWindow> dedup_;  // by exporter tag
   std::map<std::uint32_t, LinkSketch> links_;
   std::uint64_t merged_ = 0;
   std::uint64_t duplicates_ = 0;

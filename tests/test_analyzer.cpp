@@ -1,13 +1,16 @@
 // Unit tests of the Analyzer pipeline (§4.3) on synthetic probe records —
 // precise control over every classification branch.
+#include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/analyzer.h"
 #include "core/controller.h"
 #include "core/ingest.h"
+#include "core/journal.h"
 #include "rnic/rnic.h"
 #include "routing/ecmp.h"
 #include "sim/scheduler.h"
@@ -744,6 +747,15 @@ TEST_F(AnalyzerTest, ConfigValidation) {
   no_window.ingest.dedup_window = 0;
   EXPECT_THROW(Analyzer(topo_, ctrl_, sched_, no_window),
                std::invalid_argument);
+  // A window sizes a per-host bitmap: above the stated maximum is rejected,
+  // not allocated.
+  AnalyzerConfig too_wide;
+  too_wide.ingest.dedup_window = kMaxSeqWindow + 1;
+  EXPECT_THROW(Analyzer(topo_, ctrl_, sched_, too_wide),
+               std::invalid_argument);
+  AnalyzerConfig widest;
+  widest.ingest.dedup_window = kMaxSeqWindow;
+  EXPECT_NO_THROW(Analyzer(topo_, ctrl_, sched_, widest));
 
   // A sane worker-pool config constructs (and joins its threads) cleanly.
   AnalyzerConfig pool;
@@ -763,44 +775,51 @@ TEST_F(AnalyzerTest, SinkSubmitIsTheIngestSurface) {
 }
 
 TEST_F(AnalyzerTest, WorkerPoolVerdictsMatchInlineForAnyThreadCount) {
-  // Determinism property (the tentpole's core guarantee): the same uploads
-  // produce byte-identical verdicts, SLA tables, and diagnosis JSON whether
-  // ingestion ran inline (threads = 0) or on a 1- or 4-thread worker pool.
-  // Per-shard FIFO queues + single-consumer shards + shard-index-order merge
-  // make the merged record vector identical to the inline path's.
+  // Determinism property: the same uploads produce byte-identical verdicts,
+  // SLA tables, diagnosis JSON and checkpoint bytes whether ingestion ran
+  // inline (threads = 0) or on a 1-, 2- or 4-thread worker pool, period
+  // after period. Per-shard FIFO queues + single-consumer shards + a
+  // shard-index-order view make the analyzed record sequence identical to
+  // the inline path's. The view is released after every close, so period
+  // k's records never reappear in period k + 1, and records a period hook
+  // submits open the next period.
+  constexpr int kPeriods = 3;
+  constexpr std::uint64_t kIdsPerPeriod = 1'000'000;
+  constexpr std::size_t kRecordsPerPeriod = 30 + 10 + 8;
 
-  // Build the scenario once; each run replays copies of the same batches.
-  std::vector<UploadBatch> batches;
+  // Build every period's uploads once; each run replays copies. Period p's
+  // record ids lie in (p * kIdsPerPeriod, (p + 1) * kIdsPerPeriod).
+  std::vector<std::vector<UploadBatch>> periods(kPeriods);
   std::uint64_t seq = 1;
-  for (const topo::HostInfo& h : topo_.hosts()) {  // liveness heartbeats
-    UploadBatch b;
-    b.host = h.id;
-    b.seq = seq++;
-    batches.push_back(std::move(b));
-  }
-  {
+  for (int p = 0; p < kPeriods; ++p) {
+    std::uint64_t id = static_cast<std::uint64_t>(p) * kIdsPerPeriod + 1;
+    const auto add = [&](UploadBatch& b, ProbeRecord r) {
+      r.id = id++;
+      b.records.push_back(r);
+    };
+    std::vector<UploadBatch>& batches = periods[p];
+    for (const topo::HostInfo& h : topo_.hosts()) {  // liveness heartbeats
+      UploadBatch b;
+      b.host = h.id;
+      b.seq = seq++;
+      batches.push_back(std::move(b));
+    }
     UploadBatch healthy;  // ToR-mesh background with denominators
     healthy.host = HostId{0};
     healthy.seq = seq++;
     for (int i = 0; i < 30; ++i) {
-      healthy.records.push_back(
-          make_record(RnicId{4}, RnicId{8}, ProbeStatus::kOk,
-                      ProbeKind::kInterTor));
+      add(healthy, make_record(RnicId{4}, RnicId{8}, ProbeStatus::kOk,
+                               ProbeKind::kInterTor));
     }
     batches.push_back(std::move(healthy));
-  }
-  {
     UploadBatch timeouts;  // a switch problem: common-path timeouts
     timeouts.host = HostId{1};
     timeouts.seq = seq++;
     for (int i = 0; i < 10; ++i) {
-      timeouts.records.push_back(make_record(RnicId{2}, RnicId{12},
-                                             ProbeStatus::kTimeout,
-                                             ProbeKind::kInterTor));
+      add(timeouts, make_record(RnicId{2}, RnicId{12}, ProbeStatus::kTimeout,
+                                ProbeKind::kInterTor));
     }
     batches.push_back(std::move(timeouts));
-  }
-  {
     UploadBatch hot;  // congestion: sustained high RTT
     hot.host = HostId{2};
     hot.seq = seq++;
@@ -808,41 +827,157 @@ TEST_F(AnalyzerTest, WorkerPoolVerdictsMatchInlineForAnyThreadCount) {
       ProbeRecord r = make_record(RnicId{5}, RnicId{9}, ProbeStatus::kOk,
                                   ProbeKind::kInterTor);
       r.network_rtt = msec(2);
-      hot.records.push_back(r);
+      add(hot, r);
     }
     batches.push_back(std::move(hot));
   }
+  // What the period hook submits after closing period p: one record with
+  // the next period's first id, a seq no period uses.
+  ProbeRecord late_proto =
+      make_record(RnicId{6}, RnicId{10}, ProbeStatus::kOk);
 
   const auto digest = [&](std::size_t threads) {
     AnalyzerConfig cfg;
     cfg.ingest.threads = threads;
-    Analyzer a(topo_, ctrl_, sched_, cfg);
+    sim::InlineScheduler sched;
+    StateJournal journal;
+    Analyzer a(topo_, ctrl_, sched, cfg);
+    a.attach_journal(&journal, "analyzer");
     EXPECT_EQ(a.sink().num_threads(), threads);
-    for (const UploadBatch& b : batches) {
-      a.sink().submit(UploadBatch(b));
-      a.sink().submit(UploadBatch(b));  // at-least-once duplicate
-    }
-    const PeriodReport& rep = a.analyze_now();
+    int period = 0;
+    a.set_period_hook([&](const PeriodReport&, const obs::DiagnosisLog&) {
+      if (period + 1 == kPeriods) return;
+      UploadBatch late;
+      late.host = HostId{3};
+      late.seq = seq + static_cast<std::uint64_t>(period);
+      late.records.push_back(late_proto);
+      late.records.back().id =
+          static_cast<std::uint64_t>(period + 1) * kIdsPerPeriod;
+      a.sink().submit(std::move(late));
+    });
     std::ostringstream os;
-    os << rep.records_processed << '|' << rep.timeouts_switch << '|'
-       << rep.timeouts_rnic << '|' << rep.timeouts_host_down << '|'
-       << rep.cluster_sla.probes << '|' << rep.cluster_sla.timeouts << '|'
-       << rep.cluster_sla.rtt_p50 << '|' << rep.cluster_sla.rtt_p99 << '|'
-       << rep.cluster_sla.switch_drop_rate << '\n';
-    for (const Problem& p : rep.problems) {
-      os << static_cast<int>(p.category) << ':'
-         << static_cast<int>(p.priority) << ':' << p.summary;
-      for (LinkId l : p.suspect_links) os << ':' << l.value;
-      os << '\n';
+    for (period = 0; period < kPeriods; ++period) {
+      for (const UploadBatch& b : periods[period]) {
+        a.sink().submit(UploadBatch(b));
+        a.sink().submit(UploadBatch(b));  // at-least-once duplicate
+      }
+      sched.run_until(sec(5) * (period + 1));
+      const PeriodReport& rep = a.analyze_now();
+      // Exactly this period's records, plus the hook's late one after the
+      // first close.
+      EXPECT_EQ(rep.records_processed,
+                kRecordsPerPeriod + (period > 0 ? 1u : 0u))
+          << "period " << period << " threads " << threads;
+      const std::uint64_t lo = static_cast<std::uint64_t>(period) *
+                               kIdsPerPeriod;
+      std::size_t evidence_ids = 0;
+      for (const obs::EvidenceChain& c : a.last_diagnosis()->chains) {
+        for (std::uint64_t id : c.probe_ids) {
+          EXPECT_GE(id, lo) << "period " << period << " threads " << threads;
+          EXPECT_LT(id, lo + kIdsPerPeriod);
+          ++evidence_ids;
+        }
+      }
+      EXPECT_GT(evidence_ids, 0u);
+      os << rep.records_processed << '|' << rep.timeouts_switch << '|'
+         << rep.timeouts_rnic << '|' << rep.timeouts_host_down << '|'
+         << rep.cluster_sla.probes << '|' << rep.cluster_sla.timeouts << '|'
+         << rep.cluster_sla.rtt_p50 << '|' << rep.cluster_sla.rtt_p99 << '|'
+         << rep.cluster_sla.switch_drop_rate << '\n';
+      for (const Problem& p : rep.problems) {
+        os << static_cast<int>(p.category) << ':'
+           << static_cast<int>(p.priority) << ':' << p.summary;
+        for (LinkId l : p.suspect_links) os << ':' << l.value;
+        os << '\n';
+      }
+      os << obs::to_json(*a.last_diagnosis()) << '\n';
+      const std::optional<AnalyzerCheckpoint> cp =
+          journal.load_checkpoint("analyzer");
+      EXPECT_TRUE(cp.has_value());
+      if (cp.has_value()) {
+        std::vector<std::uint8_t> bytes;
+        encode_checkpoint(*cp, bytes);
+        for (std::uint8_t byte : bytes) os << static_cast<int>(byte) << ',';
+        os << '\n';
+      }
     }
-    os << obs::to_json(*a.last_diagnosis());
     return os.str();
   };
 
   const std::string inline_digest = digest(0);
   EXPECT_GT(inline_digest.size(), 100u);
-  EXPECT_EQ(digest(1), inline_digest);
-  EXPECT_EQ(digest(4), inline_digest);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    EXPECT_EQ(digest(threads), inline_digest) << "threads " << threads;
+  }
+}
+
+TEST(JournalDedupWindows, OutOfOrderOrFutureSeqsAreCorrupt) {
+  // A restored window is a ring over [max_seq - window, max_seq]: a seen
+  // list that is not strictly ascending, or holds a seq above max_seq,
+  // would alias onto a live slot. Decode rejects it through the corrupt-
+  // checkpoint path (nullopt + rpm_journal_corrupt_total), never a throw.
+  const auto corrupt_metric = [] {
+    return telemetry::registry().snapshot().sum("rpm_journal_corrupt_total");
+  };
+  const auto loads = [](const AnalyzerCheckpoint& cp) {
+    StateJournal journal;
+    journal.save_checkpoint("analyzer", cp);
+    const bool ok = journal.load_checkpoint("analyzer").has_value();
+    EXPECT_EQ(journal.corrupt_total(), ok ? 0u : 1u);
+    return ok;
+  };
+  const double before = corrupt_metric();
+
+  AnalyzerCheckpoint good;
+  good.ingest.hosts = {{0, 10, {3, 9, 10}}};
+  good.digest_dedup.hosts = {{1, 5, {4, 5}}};
+  EXPECT_TRUE(loads(good));
+
+  AnalyzerCheckpoint descending = good;
+  descending.ingest.hosts[0].seen = {9, 8};
+  EXPECT_FALSE(loads(descending));
+  AnalyzerCheckpoint repeated = good;
+  repeated.ingest.hosts[0].seen = {9, 9};
+  EXPECT_FALSE(loads(repeated));
+  AnalyzerCheckpoint future = good;
+  future.ingest.hosts[0].seen = {9, 11};
+  EXPECT_FALSE(loads(future));
+  AnalyzerCheckpoint future_digest = good;
+  future_digest.digest_dedup.hosts[0].seen = {6};
+  EXPECT_FALSE(loads(future_digest));
+
+  EXPECT_DOUBLE_EQ(corrupt_metric() - before, 4.0);
+}
+
+TEST_F(AnalyzerTest, RestoredWindowSkipsSeqsBelowTheWindow) {
+  // Window 4 over max_seq 10 is [6, 10]. The journaled seq 3 is already out
+  // of it; restored into the ring it would alias onto seq 8's slot and drop
+  // a fresh batch 8 as a duplicate.
+  AnalyzerConfig cfg;
+  cfg.ingest.dedup_window = 4;
+  for (const std::size_t threads : {0u, 2u}) {
+    cfg.ingest.threads = threads;
+    StateJournal journal;
+    AnalyzerCheckpoint cp;
+    cp.ingest.hosts = {{0, 10, {3, 9, 10}}};
+    journal.save_checkpoint("analyzer", cp);
+    Analyzer a(topo_, ctrl_, sched_, cfg);
+    a.attach_journal(&journal, "analyzer");
+    a.crash();
+    ASSERT_TRUE(a.restore_from_journal());
+    const auto batch = [&](std::uint64_t seq) {
+      UploadBatch b;
+      b.host = HostId{0};
+      b.seq = seq;
+      b.records.push_back(make_record(RnicId{0}, RnicId{1}, ProbeStatus::kOk));
+      return b;
+    };
+    a.sink().submit(batch(8));   // fresh, inside the window
+    a.sink().submit(batch(9));   // journaled: duplicate
+    a.sink().submit(batch(3));   // below the window: too old
+    a.sink().submit(batch(11));  // fresh, new maximum
+    EXPECT_EQ(a.analyze_now().records_processed, 2u) << "threads " << threads;
+  }
 }
 
 TEST(IngestSinkTest, QueueFullDropsOldestAndCountsIt) {
@@ -872,20 +1007,26 @@ TEST(IngestSinkTest, QueueFullDropsOldestAndCountsIt) {
   EXPECT_DOUBLE_EQ(dropped_after - dropped_before, 6.0);
 
   // Drain processes what survived: the four NEWEST batches, in order.
-  const std::vector<ProbeRecord> records = sink->drain_period();
+  const PeriodView& records = sink->drain_period();
   ASSERT_EQ(records.size(), 4u);
   for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].id, 7u + i);
+    EXPECT_EQ(records[i]->id, 7u + i);
   }
 
-  // Unstall + a fresh submit: the pool processes it normally again.
+  // Unstall + a fresh submit: the pool processes it normally again. It lands
+  // in the drained shard's bucket after the drain, so the release keeps it.
   sink->stall_workers_for_test(false);
   UploadBatch fresh;
   fresh.host = HostId{0};
   fresh.seq = 11;
   fresh.records.emplace_back();
+  fresh.records.back().id = 11;
   sink->submit(std::move(fresh));
-  EXPECT_EQ(sink->drain_period().size(), 1u);
+  sink->release_period();
+  const PeriodView& next = sink->drain_period();
+  ASSERT_EQ(next.size(), 1u);
+  EXPECT_EQ(next[0]->id, 11u);
+  sink->release_period();
 }
 
 }  // namespace

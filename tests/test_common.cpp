@@ -1,11 +1,16 @@
-// Unit tests for src/common: ids, time helpers, 5-tuples, RNG, statistics.
+// Unit tests for src/common: ids, time helpers, 5-tuples, RNG, statistics,
+// sequence dedup windows.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "common/five_tuple.h"
 #include "common/rng.h"
+#include "common/seq_window.h"
 #include "common/stats.h"
 #include "common/types.h"
 
@@ -200,6 +205,158 @@ TEST(LogHistogram, RejectsInvalidBounds) {
 TEST(LogHistogram, MergeRejectsShapeMismatch) {
   LogHistogram a(1.0, 1e6), b(1.0, 1e9);
   EXPECT_THROW(a.merge(b), std::invalid_argument);
+}
+
+// ---- SeqWindow ----
+
+/// Reference model: the set-based sliding window SeqWindow replaced. Seen
+/// seqs in a std::set, rescanned on every new maximum.
+struct SetWindow {
+  explicit SetWindow(std::uint64_t w) : window(w) {}
+
+  std::uint64_t window;
+  std::uint64_t max_seq = 0;
+  std::set<std::uint64_t> seen;
+
+  bool accept(std::uint64_t seq) {
+    if (seen.contains(seq) || (max_seq > window && seq < max_seq - window)) {
+      return false;
+    }
+    seen.insert(seq);
+    if (seq > max_seq) {
+      max_seq = seq;
+      if (max_seq > window) {
+        const std::uint64_t floor = max_seq - window;
+        std::erase_if(seen, [floor](std::uint64_t s) { return s < floor; });
+      }
+    }
+    return true;
+  }
+};
+
+/// Next seq to deliver, given the reference state.
+using SeqGen = std::function<std::uint64_t(const SetWindow&, Rng&)>;
+
+std::uint64_t back_off(std::uint64_t max_seq, std::uint64_t by) {
+  return max_seq > by ? max_seq - by : 0;
+}
+
+/// Drive both windows through `steps` deliveries; every decision and every
+/// remembered-seq list must agree.
+void expect_same_as_reference(std::uint64_t window, const SeqGen& gen,
+                              const std::string& name) {
+  SCOPED_TRACE(name + " window=" + std::to_string(window));
+  Rng rng(window * 7919 + name.size());
+  SetWindow ref(window);
+  SeqWindow win(window);
+  for (int step = 0; step < 3000; ++step) {
+    const std::uint64_t seq = gen(ref, rng);
+    ASSERT_EQ(win.accept(seq), ref.accept(seq)) << "step " << step
+                                                << " seq " << seq;
+    ASSERT_EQ(win.max_seq(), ref.max_seq);
+    if (step % 7 == 0 || window < 100) {
+      ASSERT_EQ(win.seen(), std::vector<std::uint64_t>(ref.seen.begin(),
+                                                       ref.seen.end()))
+          << "step " << step;
+    }
+  }
+  // The checkpoint form round-trips: a restored window decides identically.
+  SeqWindow restored(window);
+  const std::vector<std::uint64_t> seen = win.seen();
+  restored.restore(win.max_seq(), seen);
+  EXPECT_EQ(restored.seen(), seen);
+  for (int step = 0; step < 500; ++step) {
+    const std::uint64_t seq = gen(ref, rng);
+    const bool want = win.accept(seq);
+    ASSERT_EQ(restored.accept(seq), want) << "post-restore seq " << seq;
+    ASSERT_EQ(ref.accept(seq), want);
+  }
+  EXPECT_EQ(restored.seen(), win.seen());
+}
+
+TEST(SeqWindow, MatchesSetReferenceModel) {
+  const std::vector<std::pair<std::string, SeqGen>> sequences = {
+      {"in-order",
+       [](const SetWindow& r, Rng&) {
+         return r.seen.empty() ? 0 : r.max_seq + 1;
+       }},
+      {"repeats",
+       [](const SetWindow& r, Rng& rng) {
+         // Mostly re-deliveries of recent seqs, some fresh ones.
+         if (rng.chance(0.3)) return r.max_seq + 1;
+         return back_off(r.max_seq, static_cast<std::uint64_t>(
+                                        rng.uniform_int(0, 3)));
+       }},
+      {"stale",
+       [](const SetWindow& r, Rng& rng) {
+         if (rng.chance(0.5)) return r.max_seq + 1;
+         return back_off(r.max_seq,
+                         r.window + static_cast<std::uint64_t>(
+                                        rng.uniform_int(1, 50)));
+       }},
+      {"window-edge",
+       [](const SetWindow& r, Rng& rng) {
+         // Just inside, exactly at, and just outside the window floor.
+         switch (rng.uniform_int(0, 3)) {
+           case 0: return r.max_seq + 1;
+           case 1: return back_off(r.max_seq, r.window);
+           case 2: return back_off(r.max_seq, r.window + 1);
+           default: return back_off(r.max_seq, back_off(r.window, 1));
+         }
+       }},
+      {"jumps",
+       [](const SetWindow& r, Rng& rng) {
+         // Jumps of exactly the window, one past it, and far beyond it,
+         // with re-deliveries behind each jump.
+         switch (rng.uniform_int(0, 4)) {
+           case 0: return r.max_seq + r.window;
+           case 1: return r.max_seq + r.window + 1;
+           case 2:
+             return r.max_seq + r.window * 3 +
+                    static_cast<std::uint64_t>(rng.uniform_int(1, 100));
+           default:
+             return back_off(r.max_seq, static_cast<std::uint64_t>(
+                                            rng.uniform_int(0, 70)));
+         }
+       }},
+      {"mixed",
+       [](const SetWindow& r, Rng& rng) {
+         return back_off(r.max_seq + 40,
+                         static_cast<std::uint64_t>(rng.uniform_int(
+                             0, static_cast<std::int64_t>(r.window) + 90)));
+       }},
+  };
+  for (const std::uint64_t window : {1u, 63u, 64u, 1024u}) {
+    for (const auto& [name, gen] : sequences) {
+      expect_same_as_reference(window, gen, name);
+    }
+  }
+}
+
+TEST(SeqWindow, RestoreSkipsSeqsBelowTheWindow) {
+  // Window 4 over max 10 is [6, 10]. Seq 3 is already out of it; restored
+  // into the ring it would alias onto seq 8's slot and drop a fresh 8.
+  SeqWindow win(4);
+  const std::vector<std::uint64_t> seen = {3, 9, 10};
+  win.restore(10, seen);
+  EXPECT_EQ(win.seen(), (std::vector<std::uint64_t>{9, 10}));
+  EXPECT_TRUE(win.accept(8));
+  EXPECT_FALSE(win.accept(3));  // too old: still a duplicate
+  EXPECT_FALSE(win.accept(9));
+}
+
+TEST(SeqWindow, RejectsSeqAboveMaxOnRestore) {
+  SeqWindow win(4);
+  const std::vector<std::uint64_t> seen = {9, 11};
+  EXPECT_THROW(win.restore(10, seen), std::invalid_argument);
+}
+
+TEST(SeqWindow, RejectsWindowAboveTheMaximum) {
+  EXPECT_THROW(SeqWindow(kMaxSeqWindow + 1), std::invalid_argument);
+  SeqWindow largest(kMaxSeqWindow);
+  EXPECT_TRUE(largest.accept(kMaxSeqWindow * 3));
+  EXPECT_TRUE(largest.accept(kMaxSeqWindow * 2));  // exactly at the floor
+  EXPECT_FALSE(largest.accept(kMaxSeqWindow * 2 - 1));
 }
 
 }  // namespace

@@ -14,11 +14,13 @@
 //  * DiagnosisLogs trimmed past history_limit spill into the StateJournal
 //    archive and explain() falls back to them.
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "chaos/chaos.h"
+#include "common/seq_window.h"
 #include "core/digest.h"
 #include "core/federation.h"
 #include "core/journal.h"
@@ -222,6 +224,21 @@ TEST(Federation, ReportBytesIdenticalForAnyIngestThreadCount) {
     }
   }
   EXPECT_FALSE(inline_json.empty());
+}
+
+TEST(Federation, GlobalRejectsDigestWindowAboveTheMaximum) {
+  // A digest window sizes a per-pod bitmap: zero or above kMaxSeqWindow is
+  // rejected at construction rather than allocated.
+  const topo::Topology topo = topo::build_clos(clos_cfg());
+  sim::InlineScheduler sched;
+  core::GlobalAnalyzer::Config cfg;
+  cfg.analyzer.period = sec(5);
+  cfg.digest_dedup_window = kMaxSeqWindow + 1;
+  EXPECT_THROW(core::GlobalAnalyzer(topo, sched, cfg), std::invalid_argument);
+  cfg.digest_dedup_window = 0;
+  EXPECT_THROW(core::GlobalAnalyzer(topo, sched, cfg), std::invalid_argument);
+  cfg.digest_dedup_window = kMaxSeqWindow;
+  EXPECT_NO_THROW(core::GlobalAnalyzer(topo, sched, cfg));
 }
 
 TEST(Federation, GlobalDedupWindowSurvivesJournalRestart) {

@@ -12,20 +12,29 @@
 //    decisions;
 //  * rpm_prof_stage_* metrics appear in the Prometheus scrape while the
 //    profiler is enabled and vanish after disable();
-//  * chrome_events() produces pid-3 tracks spliceable into the tracer.
+//  * chrome_events() produces pid-3 tracks spliceable into the tracer;
+//  * the stages nested in period.close account for >= 95% of it on a fixed
+//    Analyzer workload.
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "chaos/chaos.h"
+#include "core/analyzer.h"
+#include "core/controller.h"
+#include "core/journal.h"
 #include "core/rpingmesh.h"
 #include "faults/faults.h"
 #include "host/cluster.h"
 #include "obs/flight_recorder.h"
 #include "prof/prof.h"
+#include "rnic/rnic.h"
+#include "routing/ecmp.h"
 #include "sim/scheduler.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
@@ -65,6 +74,9 @@ TEST_F(ProfTest, StageNamesAreDotted) {
                "transport.deliver");
   EXPECT_STREQ(prof::stage_name(Stage::kSketchFlush), "sketch.flush");
   EXPECT_STREQ(prof::stage_name(Stage::kPeriodClose), "period.close");
+  EXPECT_STREQ(prof::stage_name(Stage::kIngestPeriodView),
+               "ingest.period_view");
+  EXPECT_STREQ(prof::stage_name(Stage::kCheckpointSave), "checkpoint.save");
 }
 
 TEST_F(ProfTest, DisabledPathAllocatesNothing) {
@@ -265,6 +277,119 @@ TEST_F(ProfTest, SchedulerDispatchHookRecordsAndDetaches) {
   profiler().disable();
   EXPECT_EQ(fired, 3);
   EXPECT_EQ(profiler().report().stage(Stage::kSimDispatch).count, 0u);
+}
+
+// ---- layer by layer: the period close is fully attributed ----
+
+topo::ClosConfig close_clos_cfg() {
+  topo::ClosConfig cfg;
+  cfg.num_pods = 2;
+  cfg.tors_per_pod = 2;
+  cfg.aggs_per_pod = 2;
+  cfg.spines_per_plane = 2;
+  cfg.hosts_per_tor = 4;
+  cfg.rnics_per_host = 2;
+  return cfg;
+}
+
+TEST_F(ProfTest, PeriodCloseChildrenCoverTheClose) {
+  // A fixed Analyzer workload (no fabric): every period submits the same
+  // 24k records over a 2-thread ingest pool and closes with a journal
+  // attached. The stages nested in period.close must account for at least
+  // 95% of it, so the close has no large unnamed cost.
+  const topo::Topology topo = topo::build_clos(close_clos_cfg());
+  const routing::EcmpRouter router(topo);
+  core::Controller ctrl(topo, router);
+  for (const topo::HostInfo& h : topo.hosts()) {
+    std::vector<core::RnicCommInfo> infos;
+    for (RnicId r : h.rnics) {
+      infos.push_back(
+          {r, topo.rnic(r).ip, rnic::gid_of(r), Qpn{0x100 + r.value}});
+    }
+    ctrl.register_agent(h.id, infos);
+  }
+  sim::InlineScheduler sched;
+  core::StateJournal journal;
+  core::AnalyzerConfig cfg;
+  cfg.period = sec(5);
+  cfg.ingest.threads = 2;
+  core::Analyzer analyzer(topo, ctrl, sched, cfg);
+  analyzer.attach_journal(&journal, "analyzer");
+
+  // One period's records: every RNIC probes a rotating set of peers; probes
+  // into one RNIC time out.
+  const std::uint32_t n_rnics = static_cast<std::uint32_t>(topo.num_rnics());
+  std::vector<std::vector<core::ProbeRecord>> by_host(topo.num_hosts());
+  for (std::uint32_t i = 0; i < 24'000; ++i) {
+    const RnicId prober{i % n_rnics};
+    const RnicId target{(i % n_rnics + 1 + (i / n_rnics) % (n_rnics - 1)) %
+                        n_rnics};
+    core::ProbeRecord r;
+    r.kind = topo.rnic(prober).tor == topo.rnic(target).tor
+                 ? core::ProbeKind::kTorMesh
+                 : core::ProbeKind::kInterTor;
+    r.prober = prober;
+    r.target = target;
+    r.prober_host = topo.rnic(prober).host;
+    r.target_qpn = Qpn{0x100 + target.value};
+    r.status = target == RnicId{3} ? core::ProbeStatus::kTimeout
+                                   : core::ProbeStatus::kOk;
+    r.network_rtt = usec(5 + i % 7);
+    r.responder_delay = usec(8);
+    r.prober_delay = usec(8);
+    FiveTuple t;
+    t.src_ip = topo.rnic(prober).ip;
+    t.dst_ip = topo.rnic(target).ip;
+    t.src_port = static_cast<std::uint16_t>(1000 + i % 5000);
+    r.fwd_path = router.resolve(prober, target, t);
+    std::swap(t.src_ip, t.dst_ip);
+    r.rev_path = router.resolve(target, prober, t);
+    r.path_known = true;
+    by_host[r.prober_host.value].push_back(r);
+  }
+
+  std::uint64_t seq = 1;
+  std::uint64_t id = 1;
+  const auto run_period = [&](int p) {
+    for (std::size_t h = 0; h < by_host.size(); ++h) {
+      for (std::size_t off = 0; off < by_host[h].size(); off += 128) {
+        core::UploadBatch b;
+        b.host = HostId{static_cast<std::uint32_t>(h)};
+        b.seq = seq++;
+        const std::size_t end = std::min(off + 128, by_host[h].size());
+        b.records.assign(by_host[h].begin() + off, by_host[h].begin() + end);
+        for (core::ProbeRecord& r : b.records) r.id = id++;
+        analyzer.sink().submit(std::move(b));
+      }
+    }
+    sched.run_until(sec(5) * (p + 1));
+    analyzer.analyze_now();
+  };
+  run_period(0);  // warm-up: buckets and maps reach their steady size
+
+  profiler().enable();
+  for (int p = 1; p <= 4; ++p) run_period(p);
+  profiler().disable();
+  const ProfileReport rep = profiler().report();
+
+  const auto total = [&](Stage s) {
+    return static_cast<double>(rep.stage(s).total_ns);
+  };
+  const double close = total(Stage::kPeriodClose);
+  ASSERT_EQ(rep.stage(Stage::kPeriodClose).count, 4u);
+  EXPECT_EQ(rep.stage(Stage::kIngestPeriodView).count, 4u * 3);
+  EXPECT_EQ(rep.stage(Stage::kCheckpointSave).count, 4u);
+  double children = 0.0;
+  for (const Stage s :
+       {Stage::kIngestDrainBarrier, Stage::kIngestPeriodView,
+        Stage::kDrainTriage, Stage::kDrainVote, Stage::kDrainBottleneck,
+        Stage::kDrainSla, Stage::kDrainImpact, Stage::kDrainDiaglog,
+        Stage::kCheckpointSave}) {
+    children += total(s);
+  }
+  EXPECT_GE(children, 0.95 * close)
+      << "children " << children / 1e6 << " ms of " << close / 1e6 << " ms";
+  EXPECT_LE(children, close);
 }
 
 // ---- the repo invariant: profiler on vs off, byte-identical output ----

@@ -80,7 +80,7 @@ TEST_F(EcmpTest, DeterministicForSameTuple) {
 
 TEST_F(EcmpTest, DifferentPortsSpreadAcrossParallelPaths) {
   const RnicId src{0}, dst{7};  // cross-pod
-  std::set<std::vector<LinkId>> distinct;
+  std::set<decltype(Path::links)> distinct;
   for (std::uint16_t port = 1000; port < 1200; ++port) {
     distinct.insert(
         router_.resolve(src, dst, tuple_for(topo_, src, dst, port)).links);
@@ -91,7 +91,7 @@ TEST_F(EcmpTest, DifferentPortsSpreadAcrossParallelPaths) {
 
 TEST_F(EcmpTest, SpreadIsRoughlyUniform) {
   const RnicId src{0}, dst{7};
-  std::map<std::vector<LinkId>, int> counts;
+  std::map<decltype(Path::links), int> counts;
   const int n = 4000;
   for (int i = 0; i < n; ++i) {
     const auto t =

@@ -8,11 +8,13 @@
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/seq_window.h"
 #include "common/types.h"
 #include "core/rpingmesh.h"
 #include "host/cluster.h"
@@ -218,6 +220,18 @@ TEST(SketchStore, DeduplicatesByExporterAndSeq) {
   EXPECT_TRUE(store.drain_period().empty());  // period state cleared
   // Dedup state survives the drain.
   EXPECT_FALSE(store.ingest(make_report(2)));
+}
+
+TEST(SketchStore, RejectsDedupWindowAboveTheMaximum) {
+  // The window sizes a per-exporter bitmap; an oversized one is rejected
+  // rather than allocated.
+  EXPECT_THROW(SketchStore(kMaxSeqWindow + 1), std::invalid_argument);
+  SketchStore widest(kMaxSeqWindow);
+  SketchReport rep;
+  rep.exporter = 1;
+  rep.seq = 5;
+  EXPECT_TRUE(widest.ingest(SketchReport(rep)));
+  EXPECT_FALSE(widest.ingest(std::move(rep)));
 }
 
 TEST(SketchExporter, FlushesPeriodicallyAndSpillsThroughOutage) {
