@@ -78,7 +78,7 @@ const PeriodReport& Analyzer::analyze_now() {
   const sketch::HostSummary summary = sink_->drain_summary();
   const PeriodReport& rep = core_->analyze_period(records, summary, now, fed_);
   sink_->release_period();
-  if (period_hook_) period_hook_(rep, *core_->last_diagnosis());
+  if (period_hook_) period_hook_(rep, *core_->verdicts().last_diagnosis());
   if (journal_ != nullptr) save_checkpoint();
   return rep;
 }

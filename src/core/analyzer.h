@@ -108,16 +108,16 @@ class Analyzer {
   const PeriodReport& analyze_now();
 
   [[nodiscard]] const std::deque<PeriodReport>& history() const {
-    return core_->history();
+    return core_->verdicts().history();
   }
   [[nodiscard]] const PeriodReport* last_report() const {
-    return core_->last_report();
+    return core_->verdicts().last_report();
   }
 
   /// §4.3.4: true when the last period shows no P0/P1 problem affecting
   /// this service — the network is innocent of the service's woes.
   [[nodiscard]] bool network_innocent(ServiceId service) const {
-    return core_->network_innocent(service);
+    return core_->verdicts().network_innocent(service);
   }
 
   // ---- diagnosis explainability (src/obs) ----
@@ -127,20 +127,20 @@ class Analyzer {
   /// Searches newest-first; empty string when the id is unknown (with a
   /// journal attached, aged-out periods are searched in its archive too).
   [[nodiscard]] std::string explain(std::uint64_t problem_id) const {
-    return core_->explain(problem_id);
+    return core_->verdicts().explain(problem_id);
   }
 
   /// Resolve an EvidenceRef (Problem::evidence, SlaReport::evidence).
   [[nodiscard]] const obs::EvidenceChain* evidence(EvidenceRef ref) const {
-    return core_->evidence(ref);
+    return core_->verdicts().evidence(ref);
   }
 
   [[nodiscard]] const obs::DiagnosisLog* last_diagnosis() const {
-    return core_->last_diagnosis();
+    return core_->verdicts().last_diagnosis();
   }
   [[nodiscard]] const std::deque<obs::DiagnosisLog>& diagnosis_history()
       const {
-    return core_->diagnosis_history();
+    return core_->verdicts().diagnosis_history();
   }
 
   [[nodiscard]] const AnalyzerConfig& config() const {

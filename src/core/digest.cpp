@@ -24,6 +24,25 @@ SlaReport SlaDigest::to_report() const {
   return sla;
 }
 
+ForeignTimeout ForeignTimeout::from(const ProbeRecord& r, HostId target_host) {
+  ForeignTimeout f;
+  f.probe_id = r.id;
+  f.kind = r.kind;
+  f.prober = r.prober;
+  f.target = r.target;
+  f.prober_host = r.prober_host;
+  f.target_host = target_host;
+  f.service = r.service;
+  f.path_known = r.path_known;
+  if (r.path_known) {
+    for (const routing::Path* p : {&r.fwd_path, &r.rev_path}) {
+      for (LinkId l : p->links) f.path_links.push_back(l.value);
+      for (SwitchId s : p->switches) f.path_switches.push_back(s.value);
+    }
+  }
+  return f;
+}
+
 namespace {
 
 std::size_t chain_wire_bytes(const obs::EvidenceChain& c) {

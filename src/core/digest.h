@@ -63,6 +63,9 @@ struct ForeignTimeout {
   bool path_known = false;
   std::vector<std::uint32_t> path_links;     // fwd + rev, in path order
   std::vector<std::uint32_t> path_switches;  // fwd + rev, in path order
+
+  /// The slice of `r` (a timeout to `target_host`) the global tier needs.
+  static ForeignTimeout from(const ProbeRecord& r, HostId target_host);
 };
 
 /// The links/RNICs/hosts one service's tracing probes touched inside the

@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -45,6 +44,7 @@
 #include "core/digest.h"
 #include "core/ingest.h"
 #include "core/journal.h"
+#include "core/verdict.h"
 #include "sim/scheduler.h"
 #include "telemetry/metrics.h"
 #include "topo/topology.h"
@@ -138,22 +138,9 @@ class GlobalAnalyzer {
   /// Run one merge over every digest buffered since the previous tick.
   const PeriodReport& merge_now();
 
-  [[nodiscard]] const std::deque<PeriodReport>& history() const {
-    return history_;
-  }
-  [[nodiscard]] const PeriodReport* last_report() const {
-    return history_.empty() ? nullptr : &history_.back();
-  }
-  [[nodiscard]] bool network_innocent(ServiceId service) const;
-  [[nodiscard]] std::string explain(std::uint64_t problem_id) const;
-  [[nodiscard]] const obs::EvidenceChain* evidence(EvidenceRef ref) const;
-  [[nodiscard]] const obs::DiagnosisLog* last_diagnosis() const {
-    return diagnosis_.empty() ? nullptr : &diagnosis_.back();
-  }
-  [[nodiscard]] const std::deque<obs::DiagnosisLog>& diagnosis_history()
-      const {
-    return diagnosis_;
-  }
+  /// Merged reports, DiagnosisLogs, explain()/evidence() and the global
+  /// id spaces.
+  [[nodiscard]] const VerdictLog& verdicts() const { return log_; }
   [[nodiscard]] const Config& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t merges() const { return merges_; }
   [[nodiscard]] std::uint64_t duplicate_digests() const {
@@ -175,11 +162,20 @@ class GlobalAnalyzer {
   bool restart_from_journal();
 
  private:
+  // The stages of merge_now(), in order; each reads and extends the merge's
+  // state.
+  struct Merge;
+  void triage_foreign(Merge& m) const;
+  void reid_pod_verdicts(Merge& m);
+  void emit_foreign_problem(Merge& m,
+                            const std::vector<const ForeignTimeout*>& ev,
+                            bool from_service, ServiceId svc);
+  void group_cross_pod(Merge& m);
+  Problem merge_group(Merge& m, const std::vector<std::size_t>& members,
+                      std::size_t& chain_idx);
+  void track_sla(Merge& m);
+  void assess_impact(Merge& m);
   void save_checkpoint();
-  /// Algorithm-1 voting over foreign-timeout paths (the global counterpart
-  /// of AnalysisCore::vote_paths).
-  void vote_foreign(const std::vector<const ForeignTimeout*>& evidence,
-                    Problem& p, obs::EvidenceChain& c) const;
 
   const topo::Topology& topo_;
   sim::Scheduler& sched_;
@@ -188,10 +184,7 @@ class GlobalAnalyzer {
   std::vector<PodDigest> pending_;
   std::unordered_map<std::uint32_t, SeqWindow> digest_dedup_;  // by pod
   std::vector<ServiceBinding> services_;
-  std::deque<PeriodReport> history_;
-  std::deque<obs::DiagnosisLog> diagnosis_;
-  std::uint64_t next_evidence_id_ = 1;
-  std::uint64_t next_problem_id_ = 1;
+  VerdictLog log_;
   TimeNs last_period_end_ = 0;
   std::uint64_t merges_ = 0;
   std::uint64_t duplicate_digests_ = 0;

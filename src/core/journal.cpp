@@ -3,6 +3,7 @@
 #include <array>
 #include <stdexcept>
 
+#include "common/wire.h"
 #include "telemetry/metrics.h"
 
 namespace rpm::core {
@@ -31,41 +32,10 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-std::uint32_t get_u32(const std::vector<std::uint8_t>& in, std::size_t& off) {
-  if (off + 4 > in.size()) {
-    throw std::runtime_error("AnalyzerCheckpoint: truncated input");
-  }
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(in[off + i]) << (8 * i);
-  }
-  off += 4;
-  return v;
-}
-
-std::uint64_t get_u64(const std::vector<std::uint8_t>& in, std::size_t& off) {
-  if (off + 8 > in.size()) {
-    throw std::runtime_error("AnalyzerCheckpoint: truncated input");
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(in[off + i]) << (8 * i);
-  }
-  off += 8;
-  return v;
-}
+using wire::get_u32;
+using wire::get_u64;
+using wire::put_u32;
+using wire::put_u64;
 
 void put_time(std::vector<std::uint8_t>& out, TimeNs t) {
   put_u64(out, static_cast<std::uint64_t>(t));

@@ -206,7 +206,7 @@ Analyzer& RPingmesh::analyzer() {
 }
 
 const std::deque<PeriodReport>& RPingmesh::scored_history() const {
-  return global_ ? global_->history() : analyzer_->history();
+  return global_ ? global_->verdicts().history() : analyzer_->history();
 }
 
 const AnalyzerConfig& RPingmesh::analyzer_config() const {

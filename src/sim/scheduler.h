@@ -179,11 +179,6 @@ class InlineScheduler final : public Scheduler {
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
 };
 
-/// One-release compatibility shim: out-of-tree code that names the concrete
-/// backend keeps compiling. New code should hold `Scheduler&` and construct
-/// `InlineScheduler` (or `ParallelScheduler`).
-using EventScheduler = InlineScheduler;
-
 /// Repeatedly invokes a callback with a fixed period until cancelled.
 /// The callback may adjust the period for the next firing via set_period().
 /// Built on EventHandle cancellation: cancel() (and the destructor) revoke

@@ -5,10 +5,16 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/wire.h"
 #include "obs/flight_recorder.h"
 
 namespace rpm::sketch {
 namespace {
+
+using wire::get_u32;
+using wire::get_u64;
+using wire::put_u32;
+using wire::put_u64;
 
 // gamma = (1+a)/(1-a); bucket index of v>0 is ceil(log(v)/log(gamma)).
 // The boundaries depend only on kRelativeAccuracy, never on the data, so
@@ -25,38 +31,6 @@ std::int32_t bucket_index(double v) {
 // both bucket edges, 2*gamma^i / (gamma+1).
 double bucket_value(std::int32_t i) {
   return 2.0 * std::pow(kGamma, static_cast<double>(i)) / (kGamma + 1.0);
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint64_t get_u64(const std::vector<std::uint8_t>& in, std::size_t& off) {
-  if (off + 8 > in.size()) throw std::runtime_error("sketch decode: truncated");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(in[off + i]) << (8 * i);
-  }
-  off += 8;
-  return v;
-}
-
-std::uint32_t get_u32(const std::vector<std::uint8_t>& in, std::size_t& off) {
-  if (off + 4 > in.size()) throw std::runtime_error("sketch decode: truncated");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(in[off + i]) << (8 * i);
-  }
-  off += 4;
-  return v;
 }
 
 }  // namespace

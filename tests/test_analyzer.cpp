@@ -1,16 +1,20 @@
 // Unit tests of the Analyzer pipeline (§4.3) on synthetic probe records —
 // precise control over every classification branch.
+#include <algorithm>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/analyzer.h"
 #include "core/controller.h"
+#include "core/digest.h"
 #include "core/ingest.h"
 #include "core/journal.h"
+#include "core/verdict.h"
 #include "rnic/rnic.h"
 #include "routing/ecmp.h"
 #include "sim/scheduler.h"
@@ -343,6 +347,152 @@ TEST_F(AnalyzerTest, Algorithm1FindsCommonLink) {
   EXPECT_TRUE(found);
   EXPECT_FALSE(sw->top_link_votes.empty());
   EXPECT_GE(sw->top_link_votes.front().second, 10u);
+}
+
+// ---- the shared Algorithm 1 voter (core/verdict.h) ----
+
+ForeignTimeout foreign_path(std::vector<std::uint32_t> links,
+                            std::vector<std::uint32_t> switches) {
+  ForeignTimeout f;
+  f.path_known = true;
+  f.path_links = std::move(links);
+  f.path_switches = std::move(switches);
+  return f;
+}
+
+template <typename Evidence>
+std::pair<Problem, obs::EvidenceChain> vote_over(
+    const std::vector<Evidence>& evidence) {
+  std::vector<const Evidence*> ev;
+  for (const Evidence& e : evidence) ev.push_back(&e);
+  std::pair<Problem, obs::EvidenceChain> out;
+  vote(ev, out.first, out.second);
+  return out;
+}
+
+void expect_same_vote(const std::pair<Problem, obs::EvidenceChain>& a,
+                      const std::pair<Problem, obs::EvidenceChain>& b) {
+  EXPECT_EQ(a.first.suspect_links, b.first.suspect_links);
+  EXPECT_EQ(a.first.suspect_switches, b.first.suspect_switches);
+  EXPECT_EQ(a.first.top_link_votes, b.first.top_link_votes);
+  ASSERT_EQ(a.second.link_votes.size(), b.second.link_votes.size());
+  for (std::size_t i = 0; i < a.second.link_votes.size(); ++i) {
+    EXPECT_EQ(a.second.link_votes[i].id, b.second.link_votes[i].id);
+    EXPECT_EQ(a.second.link_votes[i].votes, b.second.link_votes[i].votes);
+  }
+  ASSERT_EQ(a.second.switch_votes.size(), b.second.switch_votes.size());
+  for (std::size_t i = 0; i < a.second.switch_votes.size(); ++i) {
+    EXPECT_EQ(a.second.switch_votes[i].id, b.second.switch_votes[i].id);
+    EXPECT_EQ(a.second.switch_votes[i].votes, b.second.switch_votes[i].votes);
+  }
+}
+
+TEST(VoteTally, TiesReturnEveryWinnerSorted) {
+  const auto [p, c] = vote_over(std::vector<ForeignTimeout>{
+      foreign_path({7, 3, 9}, {2}), foreign_path({3, 7}, {1})});
+  EXPECT_EQ(p.suspect_links, (std::vector<LinkId>{LinkId{3}, LinkId{7}}));
+  EXPECT_EQ(p.suspect_switches,
+            (std::vector<SwitchId>{SwitchId{1}, SwitchId{2}}));
+  ASSERT_EQ(p.top_link_votes.size(), 3u);
+  EXPECT_EQ(p.top_link_votes[0], std::make_pair(LinkId{3}, std::size_t{2}));
+  EXPECT_EQ(p.top_link_votes[1], std::make_pair(LinkId{7}, std::size_t{2}));
+  EXPECT_EQ(p.top_link_votes[2], std::make_pair(LinkId{9}, std::size_t{1}));
+  ASSERT_EQ(c.switch_votes.size(), 2u);
+  EXPECT_EQ(c.switch_votes[0].id, 1u);
+  EXPECT_EQ(c.switch_votes[1].id, 2u);
+}
+
+TEST_F(AnalyzerTest, VoteSkipsUnknownPathsAndEmptyInput) {
+  ProbeRecord r = make_record(RnicId{0}, RnicId{12}, ProbeStatus::kTimeout,
+                              ProbeKind::kInterTor);
+  r.path_known = false;
+  ForeignTimeout f = ForeignTimeout::from(r, topo_.rnic(r.target).host);
+  EXPECT_TRUE(f.path_links.empty());
+  f.path_links = {1, 2};  // a stray path with the flag off still abstains
+  for (const auto& [p, c] :
+       {vote_over(std::vector<ProbeRecord>{r, r}),
+        vote_over(std::vector<ForeignTimeout>{f}),
+        vote_over(std::vector<ProbeRecord>{})}) {
+    EXPECT_TRUE(p.suspect_links.empty());
+    EXPECT_TRUE(p.suspect_switches.empty());
+    EXPECT_TRUE(p.top_link_votes.empty());
+    EXPECT_TRUE(c.link_votes.empty());
+    EXPECT_TRUE(c.switch_votes.empty());
+  }
+}
+
+TEST(VoteTally, TopTenAndTallyCapOrderByVotesThenId) {
+  // 80 links and 80 switches; id i gets (i % 4) + 1 votes.
+  std::vector<ForeignTimeout> ev;
+  std::vector<obs::VoteCount> want;
+  for (std::uint32_t i = 0; i < 80; ++i) {
+    const std::size_t votes = i % 4 + 1;
+    for (std::size_t k = 0; k < votes; ++k) ev.push_back(foreign_path({i}, {i}));
+    want.push_back({i, votes});
+  }
+  std::sort(want.begin(), want.end(),
+            [](const obs::VoteCount& a, const obs::VoteCount& b) {
+              if (a.votes != b.votes) return a.votes > b.votes;
+              return a.id < b.id;
+            });
+  const auto [p, c] = vote_over(ev);
+  ASSERT_EQ(p.top_link_votes.size(), VoteTally::kTopLinks);
+  for (std::size_t i = 0; i < VoteTally::kTopLinks; ++i) {
+    EXPECT_EQ(p.top_link_votes[i].first, LinkId{want[i].id});
+    EXPECT_EQ(p.top_link_votes[i].second, want[i].votes);
+  }
+  ASSERT_EQ(c.link_votes.size(), VoteTally::kTallyCap);
+  ASSERT_EQ(c.switch_votes.size(), VoteTally::kTallyCap);
+  for (std::size_t i = 0; i < VoteTally::kTallyCap; ++i) {
+    EXPECT_EQ(c.link_votes[i].id, want[i].id);
+    EXPECT_EQ(c.link_votes[i].votes, want[i].votes);
+    EXPECT_EQ(c.switch_votes[i].id, want[i].id);
+  }
+  // Winners: all 20 ids holding 4 votes, ascending.
+  ASSERT_EQ(p.suspect_links.size(), 20u);
+  EXPECT_EQ(p.suspect_links.front(), LinkId{3});
+  EXPECT_EQ(p.suspect_links.back(), LinkId{79});
+}
+
+TEST_F(AnalyzerTest, RecordsAndForeignTimeoutsVoteIdentically) {
+  std::vector<ProbeRecord> recs;
+  std::vector<ForeignTimeout> foreign;
+  for (const auto& [a, b] : {std::pair{0u, 12u}, std::pair{2u, 9u},
+                             std::pair{5u, 14u}, std::pair{0u, 12u}}) {
+    recs.push_back(make_record(RnicId{a}, RnicId{b}, ProbeStatus::kTimeout,
+                               ProbeKind::kInterTor));
+    foreign.push_back(ForeignTimeout::from(recs.back(),
+                                           topo_.rnic(RnicId{b}).host));
+  }
+  const auto from_records = vote_over(recs);
+  EXPECT_FALSE(from_records.first.suspect_links.empty());
+  expect_same_vote(from_records, vote_over(foreign));
+}
+
+TEST_F(AnalyzerTest, UnionOfChainTalliesEqualsVoteOverUnionEvidence) {
+  std::vector<ProbeRecord> a;
+  std::vector<ProbeRecord> b;
+  for (std::uint32_t i = 0; i < 6; ++i) {
+    a.push_back(make_record(RnicId{i}, RnicId{15 - i}, ProbeStatus::kTimeout,
+                            ProbeKind::kInterTor));
+    b.push_back(make_record(RnicId{i + 2}, RnicId{12 - i},
+                            ProbeStatus::kTimeout, ProbeKind::kInterTor));
+  }
+  const auto va = vote_over(a);
+  const auto vb = vote_over(b);
+  ASSERT_LT(va.second.link_votes.size(), VoteTally::kTallyCap);
+  ASSERT_LT(vb.second.link_votes.size(), VoteTally::kTallyCap);
+  ASSERT_LT(va.second.switch_votes.size(), VoteTally::kTallyCap);
+  ASSERT_LT(vb.second.switch_votes.size(), VoteTally::kTallyCap);
+  VoteTally merged;
+  merged.add(va.second);
+  merged.add(vb.second);
+  std::pair<Problem, obs::EvidenceChain> from_chains;
+  merged.vote(from_chains.first, from_chains.second);
+
+  std::vector<ProbeRecord> both = a;
+  both.insert(both.end(), b.begin(), b.end());
+  expect_same_vote(from_chains, vote_over(both));
 }
 
 TEST_F(AnalyzerTest, RnicBlameWindowPersistsAcrossPeriods) {

@@ -1,9 +1,11 @@
 // Unit tests for src/common: ids, time helpers, 5-tuples, RNG, statistics,
-// sequence dedup windows.
+// sequence dedup windows, the little-endian wire codec.
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "common/seq_window.h"
 #include "common/stats.h"
 #include "common/types.h"
+#include "common/wire.h"
 
 namespace rpm {
 namespace {
@@ -357,6 +360,53 @@ TEST(SeqWindow, RejectsWindowAboveTheMaximum) {
   EXPECT_TRUE(largest.accept(kMaxSeqWindow * 3));
   EXPECT_TRUE(largest.accept(kMaxSeqWindow * 2));  // exactly at the floor
   EXPECT_FALSE(largest.accept(kMaxSeqWindow * 2 - 1));
+}
+
+TEST(Wire, RoundTripsLittleEndian) {
+  std::vector<std::uint8_t> buf;
+  wire::put_u32(buf, 0x01020304u);
+  wire::put_u64(buf, 0x1122334455667788ull);
+  ASSERT_EQ(buf.size(), 12u);
+  EXPECT_EQ(buf[0], 0x04);  // least significant byte first
+  EXPECT_EQ(buf[4], 0x88);
+  std::size_t off = 0;
+  EXPECT_EQ(wire::get_u32(buf, off), 0x01020304u);
+  EXPECT_EQ(wire::get_u64(buf, off), 0x1122334455667788ull);
+  EXPECT_EQ(off, buf.size());
+}
+
+TEST(Wire, TruncatedReadsThrowAtEveryWidth) {
+  // Every short length for each width throws and leaves the offset alone.
+  for (std::size_t len = 0; len < 8; ++len) {
+    const std::vector<std::uint8_t> buf(len, 0xab);
+    std::size_t off = 0;
+    if (len < 4) {
+      EXPECT_THROW((void)wire::get_u32(buf, off), std::runtime_error) << len;
+      EXPECT_EQ(off, 0u);
+    }
+    EXPECT_THROW((void)wire::get_u64(buf, off), std::runtime_error) << len;
+    EXPECT_EQ(off, 0u);
+  }
+  // Reads that run off the end part-way through the buffer.
+  const std::vector<std::uint8_t> buf(10, 0);
+  std::size_t off = 7;
+  EXPECT_THROW((void)wire::get_u32(buf, off), std::runtime_error);
+  EXPECT_THROW((void)wire::get_u64(buf, off), std::runtime_error);
+  off = 6;
+  EXPECT_NO_THROW((void)wire::get_u32(buf, off));
+  EXPECT_EQ(off, 10u);
+}
+
+TEST(Wire, HostileOffsetsCannotWrapTheBoundsCheck) {
+  const std::vector<std::uint8_t> buf(16, 0);
+  for (const std::size_t off0 :
+       {std::size_t{17}, std::numeric_limits<std::size_t>::max(),
+        std::numeric_limits<std::size_t>::max() - 3}) {
+    std::size_t off = off0;
+    EXPECT_THROW((void)wire::get_u32(buf, off), std::runtime_error);
+    EXPECT_THROW((void)wire::get_u64(buf, off), std::runtime_error);
+    EXPECT_EQ(off, off0);
+  }
 }
 
 }  // namespace
