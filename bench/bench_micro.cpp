@@ -2,16 +2,12 @@
 // and the R-Pingmesh pipeline: 5-tuple hashing, ECMP resolution, fabric
 // fluid steps, packet sends, a full Analyzer period, and the telemetry
 // primitives sprinkled through all of the above.
+#include <algorithm>
 #include <any>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include <benchmark/benchmark.h>
 
-#include "bench_util.h"
 #include "core/analyzer.h"
 #include "core/controller.h"
 #include "fabric/fabric.h"
@@ -391,108 +387,7 @@ void BM_TelemetrySnapshotExport(benchmark::State& state) {
 }
 BENCHMARK(BM_TelemetrySnapshotExport)->Arg(100)->Arg(1000);
 
-// Standalone ingest-throughput measurement behind `--ingest-json[=PATH]`:
-// the same workload as BM_IngestWorkerPool (100k records, 128-record batches
-// over 64 hosts, 8 shards) measured directly and written as
-// BENCH_ingest.json — events/sec per thread count plus the period's record
-// and wire-byte volume — so re-anchors can see the ingest perf curve without
-// running the whole google-benchmark suite.
-int write_ingest_json(const std::string& path) {
-  constexpr std::size_t kRecords = 100000;
-  constexpr std::size_t kBatch = 128;
-
-  core::ProbeRecord proto;
-  proto.kind = core::ProbeKind::kTorMesh;
-  proto.prober = RnicId{0};
-  proto.target = RnicId{1};
-  proto.status = core::ProbeStatus::kOk;
-  proto.network_rtt = usec(5);
-
-  const auto make_batches = [&](std::uint64_t& seq) {
-    std::vector<core::UploadBatch> batches;
-    for (std::size_t done = 0; done < kRecords; done += kBatch) {
-      core::UploadBatch b;
-      b.host = HostId{static_cast<std::uint32_t>((done / kBatch) % 64)};
-      b.seq = seq++;
-      b.records.assign(std::min(kBatch, kRecords - done), proto);
-      batches.push_back(std::move(b));
-    }
-    return batches;
-  };
-
-  std::uint64_t seq = 1;
-  std::size_t period_bytes = 0;
-  for (const core::UploadBatch& b : make_batches(seq)) {
-    period_bytes += core::upload_batch_wire_bytes(b);
-  }
-
-  bench::BenchJson out("ingest");
-  out.param("records_per_period", static_cast<std::uint64_t>(kRecords))
-      .param("batch", static_cast<std::uint64_t>(kBatch))
-      .param("hosts", 64)
-      .param("shards", 8);
-  out.metric("bytes_per_period", static_cast<std::uint64_t>(period_bytes));
-  std::string modes = "[";
-  bool first = true;
-  for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{2}, std::size_t{4}}) {
-    core::IngestConfig cfg;
-    cfg.shards = 8;
-    cfg.threads = threads;
-    cfg.queue_capacity = 1 << 16;
-    auto sink = core::make_ingest_sink(cfg, {});
-
-    // Warm-up period, then three measured periods.
-    for (int rep = 0; rep < 1; ++rep) {
-      for (core::UploadBatch& b : make_batches(seq)) sink->submit(std::move(b));
-      (void)sink->drain_period();
-      sink->release_period();
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    constexpr int kReps = 3;
-    for (int rep = 0; rep < kReps; ++rep) {
-      for (core::UploadBatch& b : make_batches(seq)) sink->submit(std::move(b));
-      (void)sink->drain_period();
-      sink->release_period();
-    }
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const double eps = static_cast<double>(kRecords * kReps) / secs;
-
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "%s{\"threads\":%zu,\"events_per_sec\":%.0f}",
-                  first ? "" : ",", threads, eps);
-    modes += buf;
-    first = false;
-  }
-  modes += "]";
-  out.metric_raw("modes", modes);
-
-  if (!out.write_file(path)) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::printf("wrote %s: %s\n", path.c_str(), out.str().c_str());
-  return 0;
-}
-
 }  // namespace
 }  // namespace rpm
 
-int main(int argc, char** argv) {
-  // --ingest-json[=PATH] short-circuits into the direct ingest measurement;
-  // everything else is standard BENCHMARK_MAIN behavior.
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--ingest-json") return rpm::write_ingest_json("BENCH_ingest.json");
-    if (arg.rfind("--ingest-json=", 0) == 0) {
-      return rpm::write_ingest_json(arg.substr(std::strlen("--ingest-json=")));
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

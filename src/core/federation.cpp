@@ -471,10 +471,10 @@ Problem GlobalAnalyzer::merge_group(Merge& m,
   g.detected_by_service_tracing = first.p.detected_by_service_tracing;
   g.priority = first.p.priority;
   obs::EvidenceChain c;
-  c.verdict = m.dlog.chains[first.chain_idx].verdict;
   c.triage_branch = "global-merge: cross-pod vote union";
   c.service = g.service.valid() ? g.service.value : 0;
   VoteTally tally;
+  bool have_verdict = false;  // from the first member that has a chain
   for (std::size_t idx : members) {
     const Merge::PendingProblem& pp = m.pool[idx];
     g.anomalous_probes += pp.p.anomalous_probes;
@@ -483,6 +483,10 @@ Problem GlobalAnalyzer::merge_group(Merge& m,
     g.priority = std::min(g.priority, pp.p.priority);
     if (pp.chain_idx == Merge::kNoChain) continue;
     const obs::EvidenceChain& mc = m.dlog.chains[pp.chain_idx];
+    if (!have_verdict) {
+      c.verdict = mc.verdict;
+      have_verdict = true;
+    }
     for (std::uint64_t id : mc.probe_ids) add_probe(c, id);
     c.total_probes += mc.total_probes - mc.probe_ids.size();
     tally.add(mc);

@@ -37,6 +37,19 @@ using wire::get_u64;
 using wire::put_u32;
 using wire::put_u64;
 
+/// Reads an element count and rejects one the bytes left cannot hold (each
+/// element takes at least `min_elem_bytes`), so a hostile count throws
+/// std::runtime_error here instead of std::length_error or std::bad_alloc
+/// from reserve().
+std::uint64_t get_count(const std::vector<std::uint8_t>& in, std::size_t& off,
+                        std::size_t min_elem_bytes) {
+  const std::uint64_t n = get_u64(in, off);
+  if (n > (in.size() - off) / min_elem_bytes) {
+    throw std::runtime_error("AnalyzerCheckpoint: count exceeds input");
+  }
+  return n;
+}
+
 void put_time(std::vector<std::uint8_t>& out, TimeNs t) {
   put_u64(out, static_cast<std::uint64_t>(t));
 }
@@ -58,13 +71,13 @@ void put_ingest(std::vector<std::uint8_t>& out, const IngestCheckpoint& cp) {
 IngestCheckpoint get_ingest(const std::vector<std::uint8_t>& in,
                             std::size_t& off) {
   IngestCheckpoint cp;
-  const std::uint64_t n = get_u64(in, off);
+  const std::uint64_t n = get_count(in, off, 20);  // host, max_seq, count
   cp.hosts.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     IngestCheckpoint::HostWindow w;
     w.host = get_u32(in, off);
     w.max_seq = get_u64(in, off);
-    const std::uint64_t ns = get_u64(in, off);
+    const std::uint64_t ns = get_count(in, off, 8);
     w.seen.reserve(ns);
     for (std::uint64_t j = 0; j < ns; ++j) {
       const std::uint64_t seq = get_u64(in, off);
@@ -95,7 +108,7 @@ void put_id_times(std::vector<std::uint8_t>& out,
 std::vector<std::pair<std::uint32_t, TimeNs>> get_id_times(
     const std::vector<std::uint8_t>& in, std::size_t& off) {
   std::vector<std::pair<std::uint32_t, TimeNs>> v;
-  const std::uint64_t n = get_u64(in, off);
+  const std::uint64_t n = get_count(in, off, 12);  // id, time
   v.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     const std::uint32_t id = get_u32(in, off);
@@ -138,7 +151,7 @@ AnalyzerCheckpoint decode_checkpoint(const std::vector<std::uint8_t>& in) {
   cp.next_problem_id = get_u64(in, off);
   cp.next_evidence_id = get_u64(in, off);
   cp.last_upload = get_id_times(in, off);
-  const std::uint64_t nk = get_u64(in, off);
+  const std::uint64_t nk = get_count(in, off, 4);
   cp.known_hosts.reserve(nk);
   for (std::uint64_t i = 0; i < nk; ++i) {
     cp.known_hosts.push_back(get_u32(in, off));

@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "obs/flight_recorder.h"
-#include "sim/parallel.h"
 #include "sim/scheduler.h"
 
 namespace rpm::prof {
@@ -18,8 +17,8 @@ constexpr const char* kStageNames[kNumStages] = {
     "drain.triage",   "drain.vote",    "drain.bottleneck",
     "drain.sla",      "drain.impact",  "drain.diaglog",
     "digest.flush",   "global.merge",  "transport.deliver",
-    "sketch.flush",   "period.close",  "sim.sync_barrier",
-    "ingest.period_view", "checkpoint.save",
+    "sketch.flush",   "period.close",  "ingest.period_view",
+    "checkpoint.save",
 };
 
 /// Thread-local cache of the calling thread's buffer. Keyed by (owner,
@@ -310,22 +309,8 @@ void Profiler::attach_scheduler(sim::Scheduler& sched) {
       });
 }
 
-void Profiler::attach_scheduler(sim::ParallelScheduler& sched) {
-  attach_scheduler(static_cast<sim::Scheduler&>(sched));
-  // Dispatch samples land in per-worker thread buffers (per-partition wall
-  // accounting falls out of the fold); the barrier merge is its own stage.
-  sched.set_barrier_observer([this](std::uint64_t wall_ns) {
-    record(Stage::kSimSyncBarrier, wall_ns);
-  });
-}
-
 void Profiler::detach_scheduler(sim::Scheduler& sched) {
   sched.set_dispatch_observer(nullptr);
-}
-
-void Profiler::detach_scheduler(sim::ParallelScheduler& sched) {
-  sched.set_dispatch_observer(nullptr);
-  sched.set_barrier_observer(nullptr);
 }
 
 Profiler& profiler() {

@@ -136,14 +136,6 @@ class Channel {
   /// delivered but are discarded). The consumer calls this once at setup.
   void set_handler(HandlerFn handler);
 
-  /// Bind the receiving endpoint to a partition: delivery events (the
-  /// handler invocations) are scheduled on `sched` instead of the channel's
-  /// construction scheduler. Pass a ParallelScheduler::partition(p) facade
-  /// to make a cross-partition channel's handler run on the receiver's
-  /// partition clock; retry timers and ack bookkeeping stay on the sender's
-  /// scheduler. Call before traffic flows.
-  void bind_delivery_scheduler(sim::Scheduler& sched);
-
   /// Invoked when a message exhausts max_attempts without an ack (or is
   /// abandoned by backpressure / cancel_unacked), with the payload returned.
   void set_on_expire(ExpireFn fn);

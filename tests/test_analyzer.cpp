@@ -1099,6 +1099,71 @@ TEST(JournalDedupWindows, OutOfOrderOrFutureSeqsAreCorrupt) {
   EXPECT_DOUBLE_EQ(corrupt_metric() - before, 4.0);
 }
 
+TEST(JournalDedupWindows, HostileCountsAreCorrupt) {
+  // A checkpoint whose CRC is valid but whose element counts claim more
+  // elements than the buffer holds must decode as corrupt (nullopt +
+  // rpm_journal_corrupt_total), not throw std::length_error or
+  // std::bad_alloc from a reserve() of the claimed size.
+  const auto crc32 = [](const std::vector<std::uint8_t>& b, std::size_t n) {
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      crc ^= b[i];
+      for (int k = 0; k < 8; ++k) {
+        crc = (crc & 1) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  const auto corrupt_metric = [] {
+    return telemetry::registry().snapshot().sum("rpm_journal_corrupt_total");
+  };
+  AnalyzerCheckpoint cp;
+  cp.last_upload = {{1, sec(1)}};
+  cp.known_hosts = {1, 2};
+  cp.ingest.hosts = {{0, 10, {9, 10}}};
+  std::vector<std::uint8_t> good;
+  encode_checkpoint(cp, good);
+  const std::size_t payload = good.size() - 4;
+  // Count offsets in the encoding: last_upload after three u64 fields,
+  // known_hosts after one 12-byte (id, time) entry, ingest.hosts after two
+  // u32 hosts and two empty id-time lists, and that window's seen count
+  // after its host and max_seq.
+  const std::size_t last_upload = 24;
+  const std::size_t known_hosts = last_upload + 8 + 12;
+  const std::size_t ingest_hosts = known_hosts + 8 + 8 + 8 + 8;
+  const std::size_t seen = ingest_hosts + 8 + 4 + 8;
+
+  const double before = corrupt_metric();
+  for (const std::size_t at : {last_upload, known_hosts, ingest_hosts, seen}) {
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+      std::vector<std::uint8_t> forged = good;
+      for (std::size_t i = 0; i < 8; ++i) {
+        forged[at + i] = static_cast<std::uint8_t>(count >> (8 * i));
+      }
+      const std::uint32_t crc = crc32(forged, payload);
+      for (std::size_t i = 0; i < 4; ++i) {
+        forged[payload + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+      }
+      // The journal holds the good encoding; flip exactly the bits that
+      // differ from the forged one.
+      StateJournal journal;
+      journal.save_checkpoint("analyzer", cp);
+      ASSERT_EQ(journal.checkpoint_bytes("analyzer"), good.size());
+      for (std::size_t bit = 0; bit < good.size() * 8; ++bit) {
+        const std::uint8_t mask = static_cast<std::uint8_t>(1u << (bit % 8));
+        if ((good[bit / 8] & mask) != (forged[bit / 8] & mask)) {
+          journal.corrupt_checkpoint("analyzer", bit);
+        }
+      }
+      EXPECT_FALSE(journal.load_checkpoint("analyzer").has_value())
+          << "count " << count << " at " << at;
+      EXPECT_EQ(journal.corrupt_total(), 1u);
+    }
+  }
+  EXPECT_DOUBLE_EQ(corrupt_metric() - before, 8.0);
+}
+
 TEST_F(AnalyzerTest, RestoredWindowSkipsSeqsBelowTheWindow) {
   // Window 4 over max_seq 10 is [6, 10]. The journaled seq 3 is already out
   // of it; restored into the ring it would alias onto seq 8's slot and drop

@@ -288,6 +288,64 @@ TEST(Federation, GlobalDedupWindowSurvivesJournalRestart) {
   EXPECT_EQ(after.timeouts_switch, 0u);
 }
 
+TEST(Federation, MergeGroupToleratesMembersWithoutAChain) {
+  // A pod problem whose evidence id names no chain in its digest enters the
+  // merge pool chainless. When such a problem leads a cross-pod group, the
+  // merged verdict comes from the first member that has a chain, or stays
+  // empty; the chainless member is never used as a chain index.
+  const topo::Topology topo = topo::build_clos(clos_cfg());
+  sim::InlineScheduler sched;
+  core::GlobalAnalyzer::Config cfg;
+  cfg.analyzer.period = sec(5);
+  core::GlobalAnalyzer global(topo, sched, cfg);
+
+  const auto problem = [](core::ProblemCategory cat, std::uint64_t ev) {
+    core::Problem p;
+    p.category = cat;
+    p.rnic = RnicId{0};
+    p.host = HostId{0};
+    p.anomalous_probes = 3;
+    p.evidence.id = ev;
+    return p;
+  };
+  for (std::uint32_t pod : {0u, 1u}) {
+    core::PodDigest d;
+    d.pod = pod;
+    d.seq = 1;
+    d.period_end = sec(5);
+    // Pod 0's RNIC problem points at evidence 42, which its digest lacks.
+    d.problems.push_back(problem(core::ProblemCategory::kRnicProblem,
+                                 pod == 0 ? 42 : 7));
+    if (pod == 1) {
+      obs::EvidenceChain c;
+      c.id = 7;
+      c.verdict = "rnic-problem";
+      d.chains.push_back(c);
+    }
+    // Neither pod's host-down problem has a chain.
+    d.problems.push_back(problem(core::ProblemCategory::kHostDown, 0));
+    global.ingest_digest(std::move(d));
+  }
+
+  const core::PeriodReport& rep = global.merge_now();
+  const core::Problem* rnic = nullptr;
+  const core::Problem* host = nullptr;
+  for (const core::Problem& p : rep.problems) {
+    if (p.category == core::ProblemCategory::kRnicProblem) rnic = &p;
+    if (p.category == core::ProblemCategory::kHostDown) host = &p;
+  }
+  ASSERT_NE(rnic, nullptr);
+  EXPECT_EQ(rnic->anomalous_probes, 6u);
+  const obs::EvidenceChain* rc = global.verdicts().evidence(rnic->evidence);
+  ASSERT_NE(rc, nullptr);
+  EXPECT_EQ(rc->verdict, "rnic-problem");
+  ASSERT_NE(host, nullptr);
+  EXPECT_EQ(host->anomalous_probes, 6u);
+  const obs::EvidenceChain* hc = global.verdicts().evidence(host->evidence);
+  ASSERT_NE(hc, nullptr);
+  EXPECT_TRUE(hc->verdict.empty());
+}
+
 TEST(Federation, PodAnalyzerReloadsDigestSeqFromJournal) {
   Deployment d(5, 2, /*standby=*/false);
   d.cluster.run_for(sec(32));  // a few closed periods, mid-period pause
