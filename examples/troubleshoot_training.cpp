@@ -27,6 +27,10 @@ int main() {
   host::Cluster cluster(topo::build_clos(topo_cfg));
   core::RPingmesh rpm(cluster);
   rpm.start();
+  // Let every Agent register before the job's QPs come up: a connect whose
+  // peer is not in the Controller's registry yet is not traced, and a job
+  // nobody traces would read as "network innocent" whatever breaks.
+  cluster.run_for(sec(5));
 
   // An 8-rank All2All training job.
   traffic::DmlConfig dml;

@@ -275,7 +275,10 @@ void Agent::start() {
     // Stagger task phases so hosts do not fire in lockstep.
     st.tormesh_task->start(rng_.uniform_int(0, st.tormesh.probe_interval));
     st.intertor_task->start(rng_.uniform_int(0, msec(100)));
-    st.service_task->start(rng_.uniform_int(0, cfg_.service_probe_interval));
+    // Service tracing keeps its phase draw but starts unarmed: create_qps()
+    // left the list empty, and the first connect arms it on this grid.
+    st.service_origin =
+        sched.now() + rng_.uniform_int(0, cfg_.service_probe_interval);
   }
   upload_task_ = std::make_unique<sim::PeriodicTask>(
       sched, cfg_.upload_interval, [this] { upload_now(); });
@@ -425,6 +428,7 @@ void Agent::apply_pinglist_response(PinglistPullResponse rsp) {
     for (const auto& [qpn, entry] : st.service_by_qpn) {
       st.service.push_back(entry);
     }
+    arm_service_task(st);
   }
 }
 
@@ -449,8 +453,13 @@ std::size_t Agent::approx_memory_bytes() const {
 }
 
 void Agent::probe_next(std::uint32_t slot, ProbeKind kind) {
-  if (!running_ || host_down()) return;
   RnicState& st = rnics_[slot];
+  if (kind == ProbeKind::kServiceTracing && st.service.empty()) {
+    // Service Tracing paused (§4.2.2): the next connect re-arms the task.
+    st.service_task->cancel();
+    return;
+  }
+  if (!running_ || host_down()) return;
   switch (kind) {
     case ProbeKind::kTorMesh: {
       if (st.tormesh.entries.empty()) return;
@@ -467,7 +476,6 @@ void Agent::probe_next(std::uint32_t slot, ProbeKind kind) {
       return;
     }
     case ProbeKind::kServiceTracing: {
-      if (st.service.empty()) return;  // Service Tracing paused (§4.2.2)
       if (st.service_next >= st.service.size()) {
         // New round: shuffle so probes never phase-lock with the service's
         // compute/communicate cycle (§7.3).
@@ -979,6 +987,19 @@ void Agent::drain_spill() {
   });
 }
 
+void Agent::arm_service_task(RnicState& st) {
+  if (!running_ || st.service.empty() || st.service_task->running()) return;
+  // The first grid instant >= now: the firing the task would have made had
+  // it ticked through the idle spell, so probe times and RNG draws match an
+  // always-armed task.
+  const TimeNs now = cluster_.scheduler().now();
+  const TimeNs period = cfg_.service_probe_interval;
+  const TimeNs behind = std::max<TimeNs>(0, now - st.service_origin);
+  const TimeNs next =
+      st.service_origin + (behind + period - 1) / period * period;
+  st.service_task->start(next - now);
+}
+
 void Agent::on_service_connect(const verbs::ModifyQpEvent& e) {
   if (!running_) return;
   // Find which of our RNICs this connection uses.
@@ -1003,6 +1024,7 @@ void Agent::on_service_connect(const verbs::ModifyQpEvent& e) {
     entry.service = e.service;
     st.service_by_qpn[e.local_qpn.value] = entry;
     st.service.push_back(entry);
+    arm_service_task(st);
     return;
   }
 }

@@ -222,6 +222,9 @@ class Agent {
     std::unique_ptr<sim::PeriodicTask> tormesh_task;
     std::unique_ptr<sim::PeriodicTask> intertor_task;
     std::unique_ptr<sim::PeriodicTask> service_task;
+    // Service tracing fires at service_origin + k * service_probe_interval,
+    // and is armed only while `service` is non-empty (§4.2.2).
+    TimeNs service_origin = 0;
   };
 
   void create_qps();
@@ -264,6 +267,9 @@ class Agent {
   void finalize_timeout(std::uint64_t probe_id);
   PathCacheEntry& traced_paths(std::uint32_t slot, const PinglistEntry& e);
   void upload_now();
+  /// Arm the RNIC's service-tracing task at its first grid instant >= now,
+  /// if it has entries and is not armed already.
+  void arm_service_task(RnicState& st);
   void on_service_connect(const verbs::ModifyQpEvent& e);
   void on_service_disconnect(const verbs::DestroyQpEvent& e);
   [[nodiscard]] bool host_down() const;

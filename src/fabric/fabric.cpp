@@ -57,8 +57,9 @@ void Fabric::init_metrics() {
                              "Datagrams injected into the packet plane");
   delivered_total_ = reg.counter("rpm_fabric_delivered_total",
                                  "Datagrams delivered to a destination RNIC");
-  fluid_steps_total_ = reg.counter("rpm_fabric_fluid_steps_total",
-                                   "Fluid-plane integration steps executed");
+  fluid_steps_total_ = reg.counter(
+      "rpm_fabric_fluid_steps_total",
+      "Fluid-plane integration steps executed (quiescent steps skip)");
   for (std::uint8_t r = 0; r < 7; ++r) {
     drops_total_[r] = reg.counter(
         "rpm_fabric_drops_total", "Datagram drops by reason",
@@ -336,6 +337,7 @@ FlowId Fabric::add_flow(const FlowSpec& spec) {
   resolve_flow_path(f);
   flows_.push_back(std::move(f));
   ++live_flows_;
+  quiescent_ = false;
   return FlowId{static_cast<std::uint32_t>(flows_.size() - 1)};
 }
 
@@ -351,6 +353,7 @@ void Fabric::set_flow_demand(FlowId id, double demand_Bps) {
   Flow& f = flows_.at(id.value);
   f.spec.demand_Bps = demand_Bps;
   if (!f.spec.controller) f.rate_Bps = demand_Bps;
+  quiescent_ = false;
 }
 
 FlowStats Fabric::flow_stats(FlowId id) const {
@@ -370,6 +373,7 @@ void Fabric::start(TimeNs first_delay) { step_task_.start(first_delay); }
 void Fabric::stop() { step_task_.cancel(); }
 
 void Fabric::step_once() {
+  if (quiescent_) return;
   fluid_steps_total_.inc();
   const double ds = to_seconds(cfg_.step_interval);
 
@@ -383,9 +387,6 @@ void Fabric::step_once() {
   for (const Flow& f : flows_) {
     if (!f.live || !f.path.complete) continue;
     for (LinkId l : f.path.links) offered_[l.value] += f.rate_Bps;
-  }
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    offered_[i] += links_[i].extra_load_Bps;
   }
 
   // 3. Queue integration, ECN, PFC/overflow per link.
@@ -502,6 +503,17 @@ void Fabric::step_once() {
           f.spec.demand_Bps);
     }
   }
+
+  // 5. Quiescence: with no offered load, step 3 maps an empty, unpaused,
+  // drop-free link onto itself. A link left down mid-overflow keeps its
+  // stale drop fraction (step 3 skips it) until it carries again, so the
+  // fraction is part of the test: send() draws its drop lottery from it.
+  quiescent_ = live_flows_ == 0 &&
+               std::none_of(links_.begin(), links_.end(),
+                            [](const LinkState& s) {
+                              return s.queue_bytes != 0 || s.pfc_paused ||
+                                     s.overflow_drop_frac != 0.0;
+                            });
 }
 
 }  // namespace rpm::fabric

@@ -123,8 +123,9 @@ struct LinkState {
   bool pfc_misconfigured = false;  // headroom wrong: overflow drops anyway
   double corrupt_prob = 0.0;   // per-packet corruption drop probability
   double service_rate_factor = 1.0;  // <1 models PCIe-downgraded endpoints
-  double extra_load_Bps = 0.0; // background load not modelled as flows
 
+  // Fluid state, written only by the fluid step: a write from outside would
+  // not wake a quiescent fabric (see Fabric::step_once).
   Bytes queue_bytes = 0;
   double overflow_drop_frac = 0.0;  // fraction of offered load dropped now
   bool pfc_paused = false;          // asserted pause towards upstream
@@ -200,7 +201,13 @@ class Fabric {
   void start(TimeNs first_delay = 0);
   void stop();
 
-  /// Run one integration step manually (tests).
+  /// Run one integration step (the periodic task's body; tests call it
+  /// directly). Once a step ends with no live flow and no link holding fluid
+  /// state (queue, PFC pause or overflow drop fraction), every later step
+  /// would rewrite each value with itself: the fabric is quiescent and steps
+  /// return at once, uncounted in rpm_fabric_fluid_steps_total, until
+  /// add_flow or set_flow_demand. The step events keep firing on their grid,
+  /// so event order is the same as with every step integrated.
   void step_once();
 
   // ---- state & fault hooks ----
@@ -280,6 +287,7 @@ class Fabric {
   std::size_t live_flows_ = 0;
   std::uint64_t topology_epoch_ = 1;
   std::uint32_t next_cc_slot_ = 0;
+  bool quiescent_ = false;
 
   sim::PeriodicTask step_task_;
 

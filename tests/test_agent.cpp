@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <any>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -297,6 +298,50 @@ TEST_F(AgentTest, ServiceProbesFollowServicePath) {
   svc.stop();
 }
 
+TEST_F(AgentTest, ServiceProbesRideTheRnicPhaseGrid) {
+  start_all();
+  traffic::DmlConfig dml;
+  dml.service = ServiceId{5};
+  dml.workers = {RnicId{0}, RnicId{8}};
+  dml.compute_time = msec(100);
+  dml.comm_bytes = 10'000'000;
+  dml.base_port = 35000;
+  traffic::DmlService svc(cluster_, dml);
+  const TimeNs interval = AgentConfig{}.service_probe_interval;
+  // Two connect spells; the second connect is off the first one's 10 ms
+  // grid, so a task anchored at connect time would change phase.
+  const TimeNs connect1 = cluster_.scheduler().now();
+  svc.start();
+  cluster_.run_for(sec(1));
+  svc.stop();
+  cluster_.run_for(msec(1234));
+  const TimeNs connect2 = cluster_.scheduler().now();
+  ASSERT_NE((connect2 - connect1) % interval, 0);
+  svc.start();
+  cluster_.run_for(sec(1));
+  svc.stop();
+  cluster_.run_for(sec(6));  // the last upload carries both spells
+
+  std::set<TimeNs> phases;
+  TimeNs first1 = kNoTime, first2 = kNoTime;
+  for (const auto& r : tap_) {
+    if (r.kind != ProbeKind::kServiceTracing || r.prober != RnicId{0}) {
+      continue;
+    }
+    phases.insert(r.sent_at % interval);
+    TimeNs& first = r.sent_at < connect2 ? first1 : first2;
+    if (first == kNoTime || r.sent_at < first) first = r.sent_at;
+  }
+  EXPECT_EQ(phases.size(), 1u) << "every service probe on one 10 ms grid";
+  // Each spell probes from the first grid instant at or after its connect.
+  ASSERT_NE(first1, kNoTime);
+  ASSERT_NE(first2, kNoTime);
+  EXPECT_GE(first1, connect1);
+  EXPECT_LT(first1, connect1 + interval);
+  EXPECT_GE(first2, connect2);
+  EXPECT_LT(first2, connect2 + interval);
+}
+
 TEST_F(AgentTest, DownHostAgentGoesSilent) {
   start_all();
   cluster_.run_for(sec(2));
@@ -354,6 +399,50 @@ TEST_F(AgentTest, DeadHostStopDropsOutboxAndCountsIt) {
                                .value();
   EXPECT_GT(drops_after, drops_before)
       << "discarded outbox must surface as result=\"dropped\"";
+}
+
+/// A 10 us service-tracing cadence: one armed service task alone fires
+/// more often than everything else in the cluster combined.
+class AgentFastServiceTest : public AgentTestBase {
+ protected:
+  static AgentConfig fast_service() {
+    AgentConfig cfg = flush_every_period();
+    cfg.service_probe_interval = usec(10);
+    return cfg;
+  }
+  AgentFastServiceTest() : AgentTestBase(fast_service()) {}
+
+  std::uint64_t events_over(TimeNs window) {
+    const std::uint64_t before = cluster_.scheduler().executed_events();
+    cluster_.run_for(window);
+    return cluster_.scheduler().executed_events() - before;
+  }
+};
+
+TEST_F(AgentFastServiceTest, ServiceTaskRunsOnlyWhileConnected) {
+  start_all();
+  const TimeNs window = msec(100);
+  const auto one_task = static_cast<std::uint64_t>(
+      window / fast_service().service_probe_interval);
+  // No connections: no service task is armed anywhere in the cluster.
+  EXPECT_LT(events_over(window), one_task);
+
+  traffic::DmlConfig dml;
+  dml.service = ServiceId{5};
+  dml.workers = {RnicId{0}, RnicId{8}};
+  dml.compute_time = msec(100);
+  dml.comm_bytes = 10'000'000;
+  dml.base_port = 36000;
+  traffic::DmlService svc(cluster_, dml);
+  svc.start();
+  // Both endpoints trace: two tasks, each firing a probe per interval.
+  EXPECT_GT(events_over(window), 2 * one_task);
+
+  svc.stop();
+  // Let the in-flight probes' timeout timers run out; the tasks stop at
+  // their next firing after the last disconnect.
+  cluster_.run_for(AgentConfig{}.probe_timeout + msec(10));
+  EXPECT_LT(events_over(window), one_task);
 }
 
 TEST_F(AgentCoalesceTest, DefaultConfigCoalescesTwoPeriods) {

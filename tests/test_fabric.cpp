@@ -1,10 +1,11 @@
 // Tests for the fabric: packet delivery, drop reasons, fluid queueing, ECN,
-// PFC backpressure vs lossy overflow, ACL, and fault hooks.
+// PFC backpressure vs lossy overflow, ACL, fault hooks, and quiescence.
 #include <gtest/gtest.h>
 
 #include "fabric/fabric.h"
 #include "routing/ecmp.h"
 #include "sim/scheduler.h"
+#include "telemetry/metrics.h"
 #include "topo/topology.h"
 
 namespace rpm::fabric {
@@ -327,6 +328,76 @@ TEST_F(FabricTest, SetFlowDemandChangesRate) {
   sched_.run_until(sched_.now() + msec(2));
   EXPECT_NEAR(fab_.flow_stats(a).achieved_Bps, gbps_to_Bps(40.0),
               gbps_to_Bps(1.0));
+}
+
+/// Integrating steps over the next `window` of simulated time. The counter
+/// is process-wide, shared by every Fabric; only deltas mean anything.
+std::uint64_t fluid_steps_over(sim::Scheduler& sched, TimeNs window) {
+  const telemetry::Counter steps =
+      telemetry::registry().counter("rpm_fabric_fluid_steps_total", "");
+  const std::uint64_t before = steps.value();
+  sched.run_until(sched.now() + window);
+  return steps.value() - before;
+}
+
+TEST_F(FabricTest, IdleFabricIntegratesOneStepThenNone) {
+  fab_.start();
+  EXPECT_EQ(fluid_steps_over(sched_, sec(1)), 1u);
+  // The step events still fire on their 100 us grid; they just do no work.
+  EXPECT_EQ(sched_.executed_events(), 10'001u);
+}
+
+TEST_F(FabricTest, FlowAddedWhileQuiescentStartsAtNextGridInstant) {
+  fab_.start();
+  // Quiescent, and between two 100 us steps.
+  ASSERT_EQ(fluid_steps_over(sched_, msec(1) + usec(50)), 1u);
+  const FlowId a = fab_.add_flow(flow(RnicId{0}, RnicId{7}, 10.0, 2001));
+  sched_.run_until(msec(1) + usec(99));
+  EXPECT_DOUBLE_EQ(fab_.flow_stats(a).achieved_Bps, 0.0);
+  sched_.run_until(msec(1) + usec(100));
+  EXPECT_NEAR(fab_.flow_stats(a).achieved_Bps, gbps_to_Bps(10.0),
+              gbps_to_Bps(0.5));
+}
+
+TEST_F(FabricTest, StandingQueueDrainsAfterRemoveFlowThenQuiesces) {
+  const FlowId a = fab_.add_flow(flow(RnicId{0}, RnicId{7}, 80.0, 2001));
+  const FlowId b = fab_.add_flow(flow(RnicId{2}, RnicId{7}, 80.0, 2002));
+  fab_.start();
+  sched_.run_until(msec(5));
+  const LinkId down = topo_.rnic(RnicId{7}).downlink;
+  ASSERT_GT(fab_.link_state(down).queue_bytes, 0);
+  fab_.remove_flow(a);
+  fab_.remove_flow(b);
+  // No flow is left, but the standing queue keeps the steps integrating.
+  EXPECT_EQ(fluid_steps_over(sched_, usec(500)), 5u);
+  EXPECT_GT(fab_.link_state(down).queue_bytes, 0);
+  sched_.run_until(msec(100));
+  EXPECT_EQ(fab_.link_state(down).queue_bytes, 0);
+  EXPECT_FALSE(fab_.link_state(down).pfc_paused);
+  EXPECT_EQ(fluid_steps_over(sched_, msec(100)), 0u);
+}
+
+TEST_F(FabricTest, StaleOverflowOnDownLinkKeepsFabricAwake) {
+  // A link that goes down mid-overflow keeps its drop fraction (the step
+  // skips unusable links); send() draws from it once the cable is back, so
+  // the fabric must keep stepping until a step has cleared it.
+  const LinkId down = topo_.rnic(RnicId{7}).downlink;
+  fab_.link_state(down).pfc_misconfigured = true;
+  const FlowId a = fab_.add_flow(flow(RnicId{0}, RnicId{7}, 100.0, 2001));
+  const FlowId b = fab_.add_flow(flow(RnicId{2}, RnicId{7}, 100.0, 2002));
+  fab_.start();
+  sched_.run_until(msec(60));
+  ASSERT_GT(fab_.link_state(down).overflow_drop_frac, 0.0);
+  fab_.set_cable_up(down, false);
+  fab_.remove_flow(a);
+  fab_.remove_flow(b);
+  EXPECT_EQ(fluid_steps_over(sched_, msec(20)), 200u);
+  EXPECT_GT(fab_.link_state(down).overflow_drop_frac, 0.0);
+  fab_.set_cable_up(down, true);
+  EXPECT_EQ(fluid_steps_over(sched_, usec(100)), 1u);
+  EXPECT_DOUBLE_EQ(fab_.link_state(down).overflow_drop_frac, 0.0);
+  sched_.run_until(msec(200));
+  EXPECT_EQ(fluid_steps_over(sched_, msec(100)), 0u);
 }
 
 TEST_F(FabricTest, ConfigValidation) {
